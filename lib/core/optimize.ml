@@ -20,11 +20,16 @@ let sum_rate protocol kind scenario =
   let r =
     Engine.Memo.find_or_add sum_rate_cache (protocol, kind, scenario)
       (fun () ->
-        Telemetry.Span.with_span ~cat:"optimize" "optimize.sum_rate"
-          ~args:
+        (* a cold pass runs this once per LP: build the span's args
+           only while tracing is on *)
+        let args =
+          if Telemetry.Span.enabled () then
             [ ("protocol", Telemetry.Json.String (Protocol.name protocol));
               ("bound", Telemetry.Json.String (Bound.kind_name kind));
             ]
+          else []
+        in
+        Telemetry.Span.with_span ~cat:"optimize" "optimize.sum_rate" ~args
         @@ fun () ->
         let b = Gaussian.bounds protocol kind scenario in
         let r = Rate_region.max_sum_rate b in

@@ -22,22 +22,61 @@ let lp_constraints (b : Bound.t) =
   in
   (nvars, simplex_row :: List.map of_term b.Bound.terms)
 
-(* Canonical cache key for a bound system: protocol, bound kind and the
-   exact (hex-rendered, lossless) constraint coefficients. Two bounds
-   built from the same protocol/kind/scenario produce the same key, so
-   repeated sweeps over overlapping scenarios share LP solutions. *)
+(* Canonical cache key for a bound system, as a binary string of 8-byte
+   little-endian words: a protocol/kind tag, the phase count, then per
+   term its arity and the IEEE-754 bits of [ca], [cb] and every
+   per-phase coefficient. Two bounds share a key iff they have the same
+   protocol, kind and shape and every coefficient is bit-identical (so
+   [0.] and [-0.] differ), hence repeated sweeps over overlapping
+   scenarios share LP solutions. A string key hashes all of its bytes;
+   a [float array] would hash only its first 10 values. *)
+let put_int k pos n = Bytes.set_int64_le k pos (Int64.of_int n)
+let put_float k pos c = Bytes.set_int64_le k pos (Int64.bits_of_float c)
+
+let protocol_tag = function
+  | Protocol.Dt -> 0
+  | Protocol.Naive -> 1
+  | Protocol.Mabc -> 2
+  | Protocol.Tdbc -> 3
+  | Protocol.Hbc -> 4
+
+let kind_tag = function Bound.Inner -> 0 | Bound.Outer -> 1
+
 let bound_key (b : Bound.t) =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf (Protocol.name b.Bound.protocol);
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (Bound.kind_name b.Bound.bound_kind);
-  Printf.bprintf buf "|%d" b.Bound.num_phases;
-  List.iter
-    (fun (t : Bound.term) ->
-      Printf.bprintf buf "|%h,%h" t.Bound.ca t.Bound.cb;
-      Array.iter (fun c -> Printf.bprintf buf ",%h" c) t.Bound.per_phase)
-    b.Bound.terms;
-  Buffer.contents buf
+  let words =
+    List.fold_left
+      (fun n (t : Bound.term) -> n + 3 + Array.length t.Bound.per_phase)
+      2 b.Bound.terms
+  in
+  let k = Bytes.create (8 * words) in
+  put_int k 0
+    ((2 * protocol_tag b.Bound.protocol) + kind_tag b.Bound.bound_kind);
+  put_int k 8 b.Bound.num_phases;
+  let rec put_terms pos = function
+    | [] -> ()
+    | (t : Bound.term) :: rest ->
+      let pp = t.Bound.per_phase in
+      let n = Array.length pp in
+      put_int k pos n;
+      put_float k (pos + 8) t.Bound.ca;
+      put_float k (pos + 16) t.Bound.cb;
+      for i = 0 to n - 1 do
+        put_float k (pos + 24 + (8 * i)) (Array.unsafe_get pp i)
+      done;
+      put_terms (pos + 24 + (8 * n)) rest
+  in
+  put_terms 16 b.Bound.terms;
+  Bytes.unsafe_to_string k
+
+(* A probe's slot key: the bound key followed by the bits of the probed
+   point, which shifts the probe system's right-hand sides. *)
+let probe_key key ~ra ~rb =
+  let n = String.length key in
+  let k = Bytes.create (n + 16) in
+  Bytes.blit_string key 0 k 0 n;
+  put_float k n ra;
+  put_float k (n + 8) rb;
+  Bytes.unsafe_to_string k
 
 let weighted_cache : (string * float * float, opt_result) Engine.Memo.t =
   Engine.Memo.create ~name:"rate_region.weighted" ()
@@ -86,8 +125,15 @@ type solver_slot = {
 
 type slot_table = {
   mutable epoch : int;
-  slots : (string, solver_slot) Hashtbl.t;
+  slots : (int, solver_slot) Hashtbl.t;
 }
+
+(* The slot-table key: LP kind (0 weighted sweep, 1 feasibility probe),
+   term count and phase count packed into one int. *)
+let shape ~probe (b : Bound.t) =
+  (b.Bound.num_phases lsl 32)
+  lor (List.length b.Bound.terms lsl 1)
+  lor if probe then 1 else 0
 
 let slots_key =
   Domain.DLS.new_key (fun () ->
@@ -110,7 +156,7 @@ let slot_for ~shape ~key ~nvars b constrs =
   let slots = domain_slots () in
   match Hashtbl.find_opt slots shape with
   | Some s ->
-    if s.loaded <> key then begin
+    if not (String.equal s.loaded key) then begin
       Linprog.Solver.rebuild s.solver ~constrs:(constrs b);
       s.loaded <- key
     end;
@@ -145,10 +191,10 @@ let solve_weighted ~key b ~wa ~wb =
   Telemetry.Metrics.time lp_seconds
   @@ fun () ->
   let nvars = 2 + b.Bound.num_phases in
-  let shape =
-    Printf.sprintf "w|%d|%d" b.Bound.num_phases (List.length b.Bound.terms)
+  let slot =
+    slot_for ~shape:(shape ~probe:false b) ~key ~nvars b (fun b ->
+        snd (lp_constraints b))
   in
-  let slot = slot_for ~shape ~key ~nvars b (fun b -> snd (lp_constraints b)) in
   let c = slot.c in
   Array.fill c 0 nvars 0.;
   c.(0) <- wa;
@@ -220,9 +266,10 @@ let probe_achievable ~key b ~ra ~rb =
      the carried basis survives the new rhs the rebuild skips phase 1
      and [feasible] answers immediately; otherwise this is the
      documented case where phase 1 re-runs. *)
-  let shape = Printf.sprintf "p|%d|%d" l (List.length b.Bound.terms) in
-  let probe_key = Printf.sprintf "%s|%h|%h" key ra rb in
-  let slot = slot_for ~shape ~key:probe_key ~nvars:l b constrs in
+  let slot =
+    slot_for ~shape:(shape ~probe:true b) ~key:(probe_key key ~ra ~rb)
+      ~nvars:l b constrs
+  in
   Linprog.Solver.feasible slot.solver
 
 let achievable_keyed ~key b ~ra ~rb =

@@ -88,12 +88,14 @@ type t = {
   (* solve-to-solve state *)
   mutable status : status;
   mutable pending_pivots : int;    (* pivots since the last recorded solve *)
+  mutable recorded_pivots : int;   (* pivots of every solve recorded so far *)
   mutable warm_next : bool;        (* next solve starts from a prior basis *)
   mutable skip1_next : bool;       (* ... and phase 1 was skipped for it *)
-  stall_limit : int;
 }
 
 let nvars t = t.nvars
+
+let pivots t = t.recorded_pivots
 
 (* ------------------------------------------------------------------ *)
 (* Tableau construction                                                *)
@@ -166,6 +168,9 @@ let pivot t ~row ~col =
   t.pending_pivots <- t.pending_pivots + 1;
   Kernel.eliminate t.k ~row ~col
 
+(* Consecutive degenerate pivots before pricing falls back to Bland. *)
+let stall_limit = 20
+
 (* One simplex phase from the current basis against the kernel's loaded
    cost. Entering column: Dantzig (largest reduced cost, lowest index on
    ties) until [stall_limit] consecutive degenerate pivots, then Bland
@@ -193,7 +198,7 @@ let run_phase t =
       else begin
         if Kernel.degenerate k then begin
           incr stall;
-          if !stall > t.stall_limit then bland := true
+          if !stall > stall_limit then bland := true
         end
         else stall := 0;
         pivot t ~row:leave ~col:entering
@@ -255,9 +260,9 @@ let create_impl ~nvars ~constrs =
       row_done = Array.make m false;
       status = Sat;
       pending_pivots = 0;
+      recorded_pivots = 0;
       warm_next = false;
       skip1_next = false;
-      stall_limit = 20;
     }
   in
   fill t normalised ncols;
@@ -374,6 +379,7 @@ let record_solve t =
     Telemetry.Metrics.observe_int pivots_per_warm_solve t.pending_pivots
   end;
   if t.skip1_next then Telemetry.Metrics.incr phase1_skipped_counter;
+  t.recorded_pivots <- t.recorded_pivots + t.pending_pivots;
   t.pending_pivots <- 0;
   (* anything solved on this instance from here on starts from the
      basis the solve above ended on *)

@@ -51,6 +51,12 @@ val create : nvars:int -> constrs:Simplex.constr list -> t
 
 val nvars : t -> int
 
+val pivots : t -> int
+(** The simplex pivots of every solve recorded on this instance so far
+    (phase 1 included) — this instance's own share of
+    [linprog.pivots], unaffected by solves on other instances or
+    domains. *)
+
 val reoptimize : t -> c:float array -> Simplex.outcome
 (** [reoptimize t ~c] maximises [c . x] over the currently loaded
     system, warm-starting from the basis of the previous solve (or the

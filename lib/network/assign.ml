@@ -119,8 +119,6 @@ let lp (t : table) =
       c.(idx k r) <- standalone_of t.choices.(k).(r)
     done
   done;
-  let pivots = Telemetry.Metrics.counter "linprog.pivots" in
-  let pivots_before = Telemetry.Metrics.value pivots in
   let solver = Linprog.Solver.create ~nvars ~constrs:(pair_rows @ relay_rows) in
   let x =
     match Linprog.Solver.reoptimize solver ~c with
@@ -129,7 +127,9 @@ let lp (t : table) =
       (* cannot happen: 0 is feasible and every variable is <= 1 *)
       assert false
   in
-  let assignment_pivots = Telemetry.Metrics.value pivots - pivots_before in
+  (* counted on the instance: the process-wide [linprog.pivots] delta
+     would also count solves running on other domains meanwhile *)
+  let assignment_pivots = Linprog.Solver.pivots solver in
   Telemetry.Metrics.add
     (Telemetry.Metrics.counter "network.assignment_pivots")
     assignment_pivots;

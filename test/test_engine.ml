@@ -135,6 +135,59 @@ let test_memo_exception_stores_nothing () =
   | exception Failure _ -> ());
   Alcotest.(check int) "nothing stored" 0 (Engine.Memo.length t)
 
+(* The rate-region memo keys a bound system by the exact bits of its
+   coefficients: observed through the table's public hit/miss counters,
+   a repeat is a hit, and bounds one ulp or one zero sign apart never
+   share an entry. *)
+
+(* (hits, misses) of the weighted-LP memo over one [max_weighted] on
+   [b1] and then one on [b2], from empty caches *)
+let weighted_traffic b1 b2 =
+  let counter kind =
+    Telemetry.Metrics.counter ("memo.rate_region.weighted." ^ kind)
+  in
+  let hits = counter "hits" and misses = counter "misses" in
+  Bidir.Rate_region.clear_cache ();
+  let h0 = Telemetry.Metrics.value hits
+  and m0 = Telemetry.Metrics.value misses in
+  List.iter
+    (fun b -> ignore (Bidir.Rate_region.max_weighted b ~wa:0.3 ~wb:0.7))
+    [ b1; b2 ];
+  (Telemetry.Metrics.value hits - h0, Telemetry.Metrics.value misses - m0)
+
+let traffic = Alcotest.(pair int int)
+
+let scen = Bidir.Gaussian.scenario ~power_db:10. ~gains:Channel.Gains.paper_fig4
+
+(* [b] with coefficient [phase] of its first term replaced by [f] of it *)
+let with_coeff (b : Bidir.Bound.t) ~phase f =
+  match b.Bidir.Bound.terms with
+  | [] -> Alcotest.fail "bound without terms"
+  | (t : Bidir.Bound.term) :: rest ->
+    let pp = Array.copy t.Bidir.Bound.per_phase in
+    pp.(phase) <- f pp.(phase);
+    { b with Bidir.Bound.terms = { t with Bidir.Bound.per_phase = pp } :: rest }
+
+let test_bound_key_repeat_hits () =
+  let b = Bidir.Gaussian.bounds Bidir.Protocol.Hbc Bidir.Bound.Inner scen in
+  Alcotest.check traffic "same bound twice: 1 hit, 1 miss" (1, 1)
+    (weighted_traffic b b)
+
+let test_bound_key_one_ulp () =
+  let b = Bidir.Gaussian.bounds Bidir.Protocol.Tdbc Bidir.Bound.Inner scen in
+  Alcotest.check traffic "one ulp apart: 2 misses" (0, 2)
+    (weighted_traffic b (with_coeff b ~phase:0 Float.succ))
+
+let test_bound_key_zero_sign () =
+  (* DT's first term is [ab; 0.]: flip the sign of its zero *)
+  let b = Bidir.Gaussian.bounds Bidir.Protocol.Dt Bidir.Bound.Inner scen in
+  let b' =
+    with_coeff b ~phase:1 (fun c ->
+        Alcotest.(check (float 0.)) "DT's a->b term is 0 in phase 2" 0. c;
+        -0.)
+  in
+  Alcotest.check traffic "0. vs -0.: 2 misses" (0, 2) (weighted_traffic b b')
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end determinism                                              *)
 (* ------------------------------------------------------------------ *)
@@ -220,6 +273,9 @@ let suites =
       [ Alcotest.test_case "computes once" `Quick test_memo_computes_once;
         Alcotest.test_case "disabled recomputes" `Quick test_memo_disabled_recomputes;
         Alcotest.test_case "exception stores nothing" `Quick test_memo_exception_stores_nothing;
+        Alcotest.test_case "bound key: repeat hits" `Quick test_bound_key_repeat_hits;
+        Alcotest.test_case "bound key: one ulp misses" `Quick test_bound_key_one_ulp;
+        Alcotest.test_case "bound key: zero sign misses" `Quick test_bound_key_zero_sign;
       ] );
     ( "engine.determinism",
       [ Alcotest.test_case "fig3 identical across domains" `Quick test_fig3_identical_across_domains;
