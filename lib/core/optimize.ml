@@ -7,19 +7,27 @@ type sum_rate_result = {
   deltas : float array;
 }
 
-(* Scenario-level cache: a scenario is a plain record of floats, so
-   (protocol, kind, scenario) is a canonical key without rendering the
-   bound system at all. On a warm pass this skips bound construction
-   and the per-LP key hashing entirely. *)
-let sum_rate_cache :
-    (Protocol.t * Bound.kind * Gaussian.scenario, sum_rate_result)
-    Engine.Memo.t =
-  Engine.Memo.create ~name:"optimize.sum_rate" ()
+(* Scenario-level cache, flat like [Rate_region]'s weighted one: the
+   key is 40 bytes, the (protocol, kind) tag and the bits of the power
+   and the three gains, so a warm pass skips bound construction and
+   bound-key building entirely; the value is [ra; rb; d_1; ...; d_L]. *)
+let sum_rate_cache = Engine.Flat_memo.create ~name:"optimize.sum_rate" ()
+
+let scenario_key protocol kind (s : Gaussian.scenario) =
+  let k = Bytes.create 40 in
+  let put_int pos n = Bytes.set_int64_le k pos (Int64.of_int n)
+  and put_float pos c = Bytes.set_int64_le k pos (Int64.bits_of_float c) in
+  put_int 0 (Rate_region.system_tag protocol kind);
+  put_float 8 s.Gaussian.power;
+  put_float 16 s.Gaussian.gains.Channel.Gains.g_ab;
+  put_float 24 s.Gaussian.gains.Channel.Gains.g_ar;
+  put_float 32 s.Gaussian.gains.Channel.Gains.g_br;
+  Bytes.unsafe_to_string k
 
 let sum_rate protocol kind scenario =
-  let r =
-    Engine.Memo.find_or_add sum_rate_cache (protocol, kind, scenario)
-      (fun () ->
+  let v =
+    Engine.Flat_memo.find_or_add sum_rate_cache
+      (scenario_key protocol kind scenario) (fun () ->
         (* a cold pass runs this once per LP: build the span's args
            only while tracing is on *)
         let args =
@@ -33,16 +41,17 @@ let sum_rate protocol kind scenario =
         @@ fun () ->
         let b = Gaussian.bounds protocol kind scenario in
         let r = Rate_region.max_sum_rate b in
-        { protocol;
-          bound_kind = kind;
-          sum_rate = Rate_region.sum r;
-          ra = r.Rate_region.ra;
-          rb = r.Rate_region.rb;
-          deltas = r.Rate_region.deltas;
-        })
+        Array.append
+          [| r.Rate_region.ra; r.Rate_region.rb |]
+          r.Rate_region.deltas)
   in
-  (* fresh deltas so callers can never mutate the cached schedule *)
-  { r with deltas = Array.copy r.deltas }
+  { protocol;
+    bound_kind = kind;
+    sum_rate = v.(0) +. v.(1);
+    ra = v.(0);
+    rb = v.(1);
+    deltas = Array.sub v 2 (Array.length v - 2);
+  }
 
 let all_sum_rates kind scenario =
   Engine.Pool.map (fun p -> sum_rate p kind scenario) Protocol.all

@@ -42,6 +42,8 @@ let protocol_tag = function
 
 let kind_tag = function Bound.Inner -> 0 | Bound.Outer -> 1
 
+let system_tag protocol kind = (2 * protocol_tag protocol) + kind_tag kind
+
 let bound_key (b : Bound.t) =
   let words =
     List.fold_left
@@ -49,8 +51,7 @@ let bound_key (b : Bound.t) =
       2 b.Bound.terms
   in
   let k = Bytes.create (8 * words) in
-  put_int k 0
-    ((2 * protocol_tag b.Bound.protocol) + kind_tag b.Bound.bound_kind);
+  put_int k 0 (system_tag b.Bound.protocol b.Bound.bound_kind);
   put_int k 8 b.Bound.num_phases;
   let rec put_terms pos = function
     | [] -> ()
@@ -68,18 +69,20 @@ let bound_key (b : Bound.t) =
   put_terms 16 b.Bound.terms;
   Bytes.unsafe_to_string k
 
-(* A probe's slot key: the bound key followed by the bits of the probed
-   point, which shifts the probe system's right-hand sides. *)
-let probe_key key ~ra ~rb =
+(* The bound key followed by the bits of a point: the weights of a
+   weighted LP (its memo key) or the rates of a feasibility probe,
+   which shift the probe system's right-hand sides (its slot key). *)
+let point_key key x y =
   let n = String.length key in
   let k = Bytes.create (n + 16) in
   Bytes.blit_string key 0 k 0 n;
-  put_float k n ra;
-  put_float k (n + 8) rb;
+  put_float k n x;
+  put_float k (n + 8) y;
   Bytes.unsafe_to_string k
 
-let weighted_cache : (string * float * float, opt_result) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.weighted" ()
+(* Optima are stored flat as [ra; rb; d_1; ...; d_L] (see
+   [Engine.Flat_memo]): no entry is a heap object the GC must trace. *)
+let weighted_cache = Engine.Flat_memo.create ~name:"rate_region.weighted" ()
 
 let feasibility_cache : (string * float * float, bool) Engine.Memo.t =
   Engine.Memo.create ~name:"rate_region.feasibility" ()
@@ -174,7 +177,7 @@ let slot_for ~shape ~key ~nvars b constrs =
     s
 
 let clear_cache () =
-  Engine.Memo.clear weighted_cache;
+  Engine.Flat_memo.clear weighted_cache;
   Engine.Memo.clear feasibility_cache;
   Engine.Memo.clear boundary_cache;
   Engine.Memo.clear polygon_cache;
@@ -200,13 +203,14 @@ let solve_weighted ~key b ~wa ~wb =
   c.(0) <- wa;
   c.(1) <- wb;
   match Linprog.Solver.reoptimize_into slot.solver ~c ~x:slot.x with
-  | Linprog.Solver.Optimal ->
-    let x = slot.x in
-    { ra = x.(0); rb = x.(1); deltas = Array.sub x 2 (nvars - 2) }
+  | Linprog.Solver.Optimal -> Array.sub slot.x 0 nvars
   | Linprog.Solver.Unbounded ->
     failwith "Rate_region.max_weighted: unbounded bound system"
   | Linprog.Solver.Infeasible ->
     failwith "Rate_region.max_weighted: infeasible bound system"
+
+let of_flat v =
+  { ra = v.(0); rb = v.(1); deltas = Array.sub v 2 (Array.length v - 2) }
 
 (* [~key] must be [bound_key b]; sweeps compute it once and reuse it
    across their LPs — building the key is cheap next to a solve but not
@@ -214,12 +218,9 @@ let solve_weighted ~key b ~wa ~wb =
 let max_weighted_keyed ~key b ~wa ~wb =
   if wa < 0. || wb < 0. || wa +. wb <= 0. then
     invalid_arg "Rate_region.max_weighted: bad weights";
-  let r =
-    Engine.Memo.find_or_add weighted_cache (key, wa, wb) (fun () ->
-        solve_weighted ~key b ~wa ~wb)
-  in
-  (* fresh deltas so callers can never mutate the cached schedule *)
-  { r with deltas = Array.copy r.deltas }
+  of_flat
+    (Engine.Flat_memo.find_or_add weighted_cache (point_key key wa wb)
+       (fun () -> solve_weighted ~key b ~wa ~wb))
 
 let max_weighted b ~wa ~wb = max_weighted_keyed ~key:(bound_key b) b ~wa ~wb
 
@@ -267,7 +268,7 @@ let probe_achievable ~key b ~ra ~rb =
      and [feasible] answers immediately; otherwise this is the
      documented case where phase 1 re-runs. *)
   let slot =
-    slot_for ~shape:(shape ~probe:true b) ~key:(probe_key key ~ra ~rb)
+    slot_for ~shape:(shape ~probe:true b) ~key:(point_key key ra rb)
       ~nvars:l b constrs
   in
   Linprog.Solver.feasible slot.solver
@@ -344,8 +345,12 @@ let default_weights = 65
 
 let boundary_keyed ~key ?(weights = default_weights) b =
   Engine.Memo.find_or_add boundary_cache (key, weights) (fun () ->
-      Telemetry.Span.with_span ~cat:"region" "region.boundary"
-        ~args:[ ("weights", Telemetry.Json.Int weights) ]
+      let args =
+        if Telemetry.Span.enabled () then
+          [ ("weights", Telemetry.Json.Int weights) ]
+        else []
+      in
+      Telemetry.Span.with_span ~cat:"region" "region.boundary" ~args
       @@ fun () ->
       let all =
         sweep_results ~caller:"Rate_region.boundary" ~key ~weights b

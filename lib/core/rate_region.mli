@@ -30,15 +30,25 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
     Raises [Failure] if the LP misbehaves (cannot happen for bound
     systems built by {!Gaussian} — they are bounded and feasible).
 
-    Solutions are memoized in a process-wide thread-safe cache keyed on
-    the bound's canonical coefficient signature and the weight pair
-    (see [docs/ENGINE.md]); repeated sweeps over overlapping scenarios
-    reuse LP solutions instead of re-solving. The cache never changes
-    results — only whether the simplex solver actually runs. *)
+    Solutions are memoized in a process-wide thread-safe flat table
+    ({!Engine.Flat_memo}) keyed on the bits of the bound's coefficients
+    and of the weight pair (see [docs/ENGINE.md]); repeated sweeps over
+    overlapping scenarios reuse LP solutions instead of re-solving. The
+    cache never changes results — only whether the simplex solver
+    actually runs. *)
 
 val clear_cache : unit -> unit
-(** Drop all memoized LP solutions and feasibility probes (useful for
-    timing cold paths; never needed for correctness). *)
+(** Drop this module's memoized LP optima, feasibility probes,
+    boundaries and polygons, and invalidate its warm-start solvers.
+    Caches above this module survive it — {!Optimize}'s scenario-level
+    sum-rate table among them — so a later {!Optimize.sum_rate} may
+    still answer without solving. For a cold path through every layer
+    use {!Engine.Memo.clear_all}. Never needed for correctness. *)
+
+val system_tag : Protocol.t -> Bound.kind -> int
+(** A small integer, distinct for every (protocol, bound kind) pair:
+    the first word of the binary cache keys built here and in
+    {!Optimize}. *)
 
 val max_sum_rate : Bound.t -> opt_result
 (** The optimal sum rate and the durations achieving it (the quantity

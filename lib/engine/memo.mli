@@ -52,8 +52,9 @@ val on_clear_all : (unit -> unit) -> unit
 (** Register a hook to run after every {!clear_all}. For caches that
     cannot live in a table registry (e.g. per-domain solver instances
     keyed through [Domain.DLS]) the hook typically bumps an epoch that
-    each domain checks before reusing its cache. Hooks are never
-    unregistered; register from module initialisers only. *)
+    each domain checks before reusing its cache. Every {!Flat_memo}
+    table registers its [clear] here. Hooks are never unregistered;
+    register from module initialisers (or table creation) only. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

@@ -112,8 +112,12 @@ let map_array ?domains f items =
   (* The span wraps both branches so a trace contains the same pool.map
      span set whatever the domain count — only the chunk spans below it
      (cat "pool") vary with d. *)
-  Telemetry.Span.with_span ~cat:"pool" "pool.map"
-    ~args:[ ("items", Telemetry.Json.Int n); ("domains", Telemetry.Json.Int d) ]
+  let args =
+    if Telemetry.Span.enabled () then
+      [ ("items", Telemetry.Json.Int n); ("domains", Telemetry.Json.Int d) ]
+    else []
+  in
+  Telemetry.Span.with_span ~cat:"pool" "pool.map" ~args
   @@ fun () ->
   if d <= 1 || Domain.DLS.get in_worker then Array.map f items
   else begin

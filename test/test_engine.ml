@@ -189,6 +189,218 @@ let test_bound_key_zero_sign () =
   Alcotest.check traffic "0. vs -0.: 2 misses" (0, 2) (weighted_traffic b b')
 
 (* ------------------------------------------------------------------ *)
+(* Flat memo                                                           *)
+(* ------------------------------------------------------------------ *)
+
+let floats = Alcotest.(array (float 0.))
+
+(* a key holding the IEEE-754 bits of [x] *)
+let bits_key x =
+  let k = Bytes.create 8 in
+  Bytes.set_int64_le k 0 (Int64.bits_of_float x);
+  Bytes.to_string k
+
+let counted v =
+  let calls = ref 0 in
+  ( calls,
+    fun () ->
+      incr calls;
+      Array.copy v )
+
+let test_flat_computes_once () =
+  let t = Engine.Flat_memo.create ~name:"test.flat" () in
+  let counter kind = Telemetry.Metrics.counter ("memo.test.flat." ^ kind) in
+  let h0 = Telemetry.Metrics.value (counter "hits")
+  and m0 = Telemetry.Metrics.value (counter "misses") in
+  let calls, compute = counted [| 1.5; -2. |] in
+  Alcotest.check floats "first" [| 1.5; -2. |]
+    (Engine.Flat_memo.find_or_add t "k" compute);
+  let hit = Engine.Flat_memo.find_or_add t "k" compute in
+  Alcotest.check floats "second" [| 1.5; -2. |] hit;
+  Alcotest.(check int) "computed once" 1 !calls;
+  Alcotest.(check int) "hits" 1 (Telemetry.Metrics.value (counter "hits") - h0);
+  Alcotest.(check int) "misses" 1
+    (Telemetry.Metrics.value (counter "misses") - m0);
+  hit.(0) <- 99.;
+  Alcotest.check floats "a hit is a copy" [| 1.5; -2. |]
+    (Engine.Flat_memo.find_or_add t "k" compute);
+  Alcotest.(check int) "length" 1 (Engine.Flat_memo.length t)
+
+let test_flat_disabled_recomputes () =
+  let t = Engine.Flat_memo.create () in
+  let calls, compute = counted [| 7. |] in
+  Engine.Memo.with_enabled false (fun () ->
+      ignore (Engine.Flat_memo.find_or_add t "k" compute);
+      ignore (Engine.Flat_memo.find_or_add t "k" compute));
+  Alcotest.(check int) "computed twice when disabled" 2 !calls;
+  Alcotest.(check int) "nothing stored" 0 (Engine.Flat_memo.length t)
+
+let test_flat_exception_stores_nothing () =
+  let t = Engine.Flat_memo.create () in
+  (match Engine.Flat_memo.find_or_add t "k" (fun () -> failwith "boom") with
+  | _ -> Alcotest.fail "expected failure"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "nothing stored" 0 (Engine.Flat_memo.length t);
+  Alcotest.check floats "computes after" [| 3. |]
+    (Engine.Flat_memo.find_or_add t "k" (fun () -> [| 3. |]))
+
+let test_flat_clear () =
+  let t = Engine.Flat_memo.create () in
+  let fill v = ignore (Engine.Flat_memo.find_or_add t "k" (fun () -> v)) in
+  fill [| 1. |];
+  Engine.Flat_memo.clear t;
+  Alcotest.(check int) "cleared" 0 (Engine.Flat_memo.length t);
+  Alcotest.check floats "recomputed after clear" [| 2. |]
+    (Engine.Flat_memo.find_or_add t "k" (fun () -> [| 2. |]));
+  Engine.Memo.clear_all ();
+  Alcotest.(check int) "cleared by clear_all" 0 (Engine.Flat_memo.length t);
+  fill [| 3. |];
+  Alcotest.check floats "recomputed after clear_all" [| 3. |]
+    (Engine.Flat_memo.find_or_add t "k" (fun () -> [| 4. |]))
+
+(* Entry [i]: a key of [i mod 301] bytes (0 to 300, so not always a
+   multiple of 8) and a value of [i mod 37] floats. 3000 of them fill
+   several key and value chunks and grow the index four times; one
+   more key is larger than the largest regular chunk. *)
+let chunk_key round i =
+  Printf.sprintf "%d:%d:" round i
+  ^ String.make (i mod 301) (Char.chr (i land 255))
+
+let chunk_value round i =
+  Array.init (i mod 37) (fun j ->
+      float_of_int ((round * 1_000_000) + (i * 100) + j))
+
+let test_flat_chunk_growth () =
+  let t = Engine.Flat_memo.create () in
+  let n = 3000 in
+  let huge = String.make (3 * 1024 * 1024) 'h' in
+  let fail_compute () = Alcotest.fail "expected a hit" in
+  List.iter
+    (fun round ->
+      Engine.Flat_memo.clear t;
+      for i = 0 to n - 1 do
+        ignore
+          (Engine.Flat_memo.find_or_add t (chunk_key round i) (fun () ->
+               chunk_value round i))
+      done;
+      ignore
+        (Engine.Flat_memo.find_or_add t huge (fun () ->
+             [| float_of_int round |]));
+      Alcotest.(check int) "length" (n + 1) (Engine.Flat_memo.length t);
+      for i = 0 to n - 1 do
+        Alcotest.check floats (chunk_key round i) (chunk_value round i)
+          (Engine.Flat_memo.find_or_add t (chunk_key round i) fail_compute)
+      done;
+      Alcotest.check floats "huge key" [| float_of_int round |]
+        (Engine.Flat_memo.find_or_add t huge fail_compute))
+    (* the second round refills the chunks the first one left *)
+    [ 1; 2 ]
+
+let test_flat_bitwise_keys () =
+  let t = Engine.Flat_memo.create () in
+  let calls = ref 0 in
+  let add x =
+    Engine.Flat_memo.find_or_add t (bits_key x) (fun () ->
+        incr calls;
+        [| x |])
+  in
+  List.iter (fun x -> ignore (add x)) [ 0.1; Float.succ 0.1; 0.; -0. ];
+  Alcotest.(check int) "four distinct entries" 4 !calls;
+  Alcotest.(check bool) "-0. hits its own entry" true
+    (Float.sign_bit (add (-0.)).(0));
+  Alcotest.(check bool) "0. hits its own entry" false
+    (Float.sign_bit (add 0.).(0));
+  Alcotest.(check int) "no recompute" 4 !calls
+
+(* Domain [a] misses, and while it computes, domain [b] misses, computes
+   and stores the same key: [a] must then return [b]'s stored value. *)
+let test_flat_race_first_writer_wins () =
+  let t = Engine.Flat_memo.create () in
+  let a_computing = Atomic.make false and b_done = Atomic.make false in
+  let wait flag =
+    while not (Atomic.get flag) do
+      Domain.cpu_relax ()
+    done
+  in
+  let a =
+    Domain.spawn (fun () ->
+        Engine.Flat_memo.find_or_add t "race" (fun () ->
+            Atomic.set a_computing true;
+            wait b_done;
+            [| 1. |]))
+  in
+  let b =
+    Domain.spawn (fun () ->
+        wait a_computing;
+        let v = Engine.Flat_memo.find_or_add t "race" (fun () -> [| 2. |]) in
+        Atomic.set b_done true;
+        v)
+  in
+  Alcotest.check floats "b stored first" [| 2. |] (Domain.join b);
+  Alcotest.check floats "a returns b's value" [| 2. |] (Domain.join a);
+  Alcotest.(check int) "one entry" 1 (Engine.Flat_memo.length t)
+
+(* Model test: [find_or_add] against a [Hashtbl] that keeps the first
+   value added per key, over random keys (short ones over a 3-letter
+   alphabet, so they repeat) and values, with clears in between. *)
+type flat_op = Add of string * float array | Clear
+
+let flat_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ ( 30,
+          map2
+            (fun k v -> Add (k, v))
+            (string_size ~gen:(char_range 'a' 'c') (int_bound 9))
+            (array_size (int_bound 6) float) );
+        (1, return Clear);
+      ])
+
+let print_flat_op = function
+  | Add (k, v) ->
+    Printf.sprintf "Add (%S, [|%s|])" k
+      (String.concat "; " (Array.to_list (Array.map string_of_float v)))
+  | Clear -> "Clear"
+
+let flat_model_table = lazy (Engine.Flat_memo.create ())
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let prop_flat_matches_hashtbl =
+  QCheck.Test.make ~count:200 ~name:"flat memo matches a Hashtbl model"
+    QCheck.(
+      make
+        ~print:(Print.list print_flat_op)
+        Gen.(list_size (int_bound 600) flat_op_gen))
+    (fun ops ->
+      let t = Lazy.force flat_model_table in
+      Engine.Flat_memo.clear t;
+      let model = Hashtbl.create 64 in
+      List.for_all
+        (function
+          | Clear ->
+            Engine.Flat_memo.clear t;
+            Hashtbl.reset model;
+            true
+          | Add (k, v) ->
+            let want =
+              match Hashtbl.find_opt model k with
+              | Some w -> w
+              | None ->
+                Hashtbl.add model k v;
+                v
+            in
+            same_bits want
+              (Engine.Flat_memo.find_or_add t k (fun () -> Array.copy v))
+            && Engine.Flat_memo.length t = Hashtbl.length model)
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end determinism                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -276,6 +488,22 @@ let suites =
         Alcotest.test_case "bound key: repeat hits" `Quick test_bound_key_repeat_hits;
         Alcotest.test_case "bound key: one ulp misses" `Quick test_bound_key_one_ulp;
         Alcotest.test_case "bound key: zero sign misses" `Quick test_bound_key_zero_sign;
+      ] );
+    ( "engine.flat_memo",
+      [ Alcotest.test_case "computes once, then hits" `Quick
+          test_flat_computes_once;
+        Alcotest.test_case "disabled recomputes" `Quick
+          test_flat_disabled_recomputes;
+        Alcotest.test_case "exception stores nothing" `Quick
+          test_flat_exception_stores_nothing;
+        Alcotest.test_case "clear and clear_all" `Quick test_flat_clear;
+        Alcotest.test_case "keys across chunk growth" `Quick
+          test_flat_chunk_growth;
+        Alcotest.test_case "one ulp and zero sign" `Quick
+          test_flat_bitwise_keys;
+        Alcotest.test_case "race: first writer wins" `Quick
+          test_flat_race_first_writer_wins;
+        QCheck_alcotest.to_alcotest prop_flat_matches_hashtbl;
       ] );
     ( "engine.determinism",
       [ Alcotest.test_case "fig3 identical across domains" `Quick test_fig3_identical_across_domains;

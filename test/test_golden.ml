@@ -2,21 +2,27 @@
    rendered and separated exactly as the CLI prints them, must equal
    the committed golden text byte for byte. *)
 
+(* Evaluated in the CLI's order, first to last: warm-started LPs carry
+   their basis from one artifact to the next, so the order fixes the
+   pass's pivot history (a list literal would evaluate right to left). *)
 let artifacts () =
   let open Bidir in
-  let fig f = Report.render_figure f and tab t = Report.render_table t in
-  [ fig (Figures.fig3 ());
-    fig (Figures.fig3_snr ());
-    fig (Figures.fig4 ~power_db:0. ());
-    fig (Figures.fig4 ~power_db:10. ());
-    tab (Figures.gap_table ());
-    tab (Figures.crossover_table ());
-    tab (Figures.hbc_witness_table ());
-    tab (Figures.coding_gain_table ());
-    tab (Figures.discrete_table ());
-    tab (Ergodic.ergodic_table ~blocks:400 ());
-    Report.protocol_map ();
-  ]
+  let fig f () = Report.render_figure (f ())
+  and tab t () = Report.render_table (t ()) in
+  List.map
+    (fun render -> render ())
+    [ fig Figures.fig3;
+      fig Figures.fig3_snr;
+      fig (Figures.fig4 ~power_db:0.);
+      fig (Figures.fig4 ~power_db:10.);
+      tab Figures.gap_table;
+      tab Figures.crossover_table;
+      tab Figures.hbc_witness_table;
+      tab Figures.coding_gain_table;
+      tab Figures.discrete_table;
+      tab (Ergodic.ergodic_table ~blocks:400);
+      Report.protocol_map;
+    ]
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -43,9 +49,42 @@ let test_figures_all_golden () =
       (String.length golden) (String.length got) line want have
   end
 
+(* The LP history of one cold `figures all` pass at one domain: how
+   many LPs were solved, with how many pivots and warm starts, and what
+   the two LP-answer memo tables returned. A cache change that re-solves
+   or skips an LP moves these counts even when every output byte stays
+   the same. *)
+let lp_history =
+  [ ("linprog.solves", 10_271);
+    ("linprog.pivots", 11_523);
+    ("linprog.warm_solves", 8_399);
+    ("engine.cache_hits", 1_413);
+    ("engine.cache_misses", 19_585);
+    ("memo.optimize.sum_rate.hits", 885);
+    ("memo.optimize.sum_rate.misses", 9_286);
+    ("memo.rate_region.weighted.hits", 526);
+    ("memo.rate_region.weighted.misses", 10_241);
+  ]
+
+let test_lp_history_pinned () =
+  let counters =
+    List.map (fun (name, _) -> Telemetry.Metrics.counter name) lp_history
+  in
+  let before = List.map Telemetry.Metrics.value counters in
+  Engine.Pool.set_default_domains 1;
+  Engine.Memo.clear_all ();
+  ignore (artifacts () : string list);
+  List.iteri
+    (fun i (name, want) ->
+      Alcotest.(check int) name want
+        (Telemetry.Metrics.value (List.nth counters i) - List.nth before i))
+    lp_history
+
 let suites =
   [ ( "golden",
       [ Alcotest.test_case "figures all byte-identical" `Quick
           test_figures_all_golden;
+        Alcotest.test_case "cold pass LP history" `Quick
+          test_lp_history_pinned;
       ] );
   ]
