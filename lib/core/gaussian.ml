@@ -4,7 +4,8 @@ let scenario ~power_db ~gains =
   { power = Numerics.Float_utils.db_to_lin power_db; gains }
 
 let scenario_lin ~power ~gains =
-  if power < 0. then invalid_arg "Gaussian.scenario_lin: negative power";
+  if not (power >= 0.) then
+    invalid_arg "Gaussian.scenario_lin: power must be non-negative";
   { power; gains }
 
 type link_rates = {
@@ -44,7 +45,7 @@ let link_rates s =
 (* With Gaussian inputs and reciprocal gains the relay broadcast is heard
    at rate C(P G_ar) by a and C(P G_br) by b, and the MAC conditional
    terms equal the single-user ones. *)
-let mi_of_scenario s =
+let mi s =
   let r = link_rates s in
   { Templates.ab = r.c_ab;
     ba = r.c_ab;
@@ -59,7 +60,7 @@ let mi_of_scenario s =
     b_ra = r.c_b_ra;
   }
 
-let bounds protocol kind s = Templates.bounds protocol kind (mi_of_scenario s)
+let bounds protocol kind s = Templates.bounds protocol kind (mi s)
 
 let is_sum_term (t : Bound.term) = t.Bound.ca > 0. && t.Bound.cb > 0.
 

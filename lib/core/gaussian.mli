@@ -16,6 +16,8 @@ type scenario = {
 
 val scenario : power_db:float -> gains:Channel.Gains.t -> scenario
 val scenario_lin : power:float -> gains:Channel.Gains.t -> scenario
+(** Raises [Invalid_argument] unless [power >= 0.] (so NaN is rejected
+    too). *)
 
 type link_rates = {
   c_ab : float;   (** C(P G_ab): direct link *)
@@ -28,6 +30,12 @@ type link_rates = {
 
 val link_rates : scenario -> link_rates
 (** All six distinct mutual-information values the bounds need. *)
+
+val mi : scenario -> Templates.mi
+(** The mutual informations of Theorems 2–6 at this scenario, from
+    {!link_rates}: with Gaussian inputs and reciprocal gains the relay
+    broadcast is heard at [c_ar] by a and [c_br] by b, and the MAC
+    conditional terms equal the single-user ones. *)
 
 val bounds : Protocol.t -> Bound.kind -> scenario -> Bound.t
 (** The bound system of the given protocol.

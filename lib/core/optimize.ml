@@ -7,27 +7,21 @@ type sum_rate_result = {
   deltas : float array;
 }
 
-(* Scenario-level cache, flat like [Rate_region]'s weighted one: the
-   key is 40 bytes, the (protocol, kind) tag and the bits of the power
-   and the three gains, so a warm pass skips bound construction and
-   bound-key building entirely; the value is [ra; rb; d_1; ...; d_L]. *)
+(* One flat cache (see [Engine.Flat_memo]) over the compiled
+   templates: the key is the (protocol, kind) tag plus the bits of the
+   mutual informations the system reads ([Rate_region.template_key]),
+   the value [ra; rb; d_1; ...; d_L]. Scenarios that give one system
+   the same coefficients share an entry — DT reads only C(P G_ab), so a
+   relay-position sweep at one power is a single LP. *)
 let sum_rate_cache = Engine.Flat_memo.create ~name:"optimize.sum_rate" ()
 
-let scenario_key protocol kind (s : Gaussian.scenario) =
-  let k = Bytes.create 40 in
-  let put_int pos n = Bytes.set_int64_le k pos (Int64.of_int n)
-  and put_float pos c = Bytes.set_int64_le k pos (Int64.bits_of_float c) in
-  put_int 0 (Rate_region.system_tag protocol kind);
-  put_float 8 s.Gaussian.power;
-  put_float 16 s.Gaussian.gains.Channel.Gains.g_ab;
-  put_float 24 s.Gaussian.gains.Channel.Gains.g_ar;
-  put_float 32 s.Gaussian.gains.Channel.Gains.g_br;
-  Bytes.unsafe_to_string k
-
 let sum_rate protocol kind scenario =
+  let m = Gaussian.mi scenario in
+  Templates.validate m;
+  let t = Rate_region.sum_rate_template protocol kind in
   let v =
-    Engine.Flat_memo.find_or_add sum_rate_cache
-      (scenario_key protocol kind scenario) (fun () ->
+    Engine.Flat_memo.find_or_add sum_rate_cache (Rate_region.template_key t m)
+      (fun () ->
         (* a cold pass runs this once per LP: build the span's args
            only while tracing is on *)
         let args =
@@ -38,12 +32,7 @@ let sum_rate protocol kind scenario =
           else []
         in
         Telemetry.Span.with_span ~cat:"optimize" "optimize.sum_rate" ~args
-        @@ fun () ->
-        let b = Gaussian.bounds protocol kind scenario in
-        let r = Rate_region.max_sum_rate b in
-        Array.append
-          [| r.Rate_region.ra; r.Rate_region.rb |]
-          r.Rate_region.deltas)
+        @@ fun () -> Rate_region.solve_template t m)
   in
   { protocol;
     bound_kind = kind;

@@ -44,6 +44,8 @@ let kind_tag = function Bound.Inner -> 0 | Bound.Outer -> 1
 
 let system_tag protocol kind = (2 * protocol_tag protocol) + kind_tag kind
 
+let num_systems = 10
+
 let bound_key (b : Bound.t) =
   let words =
     List.fold_left
@@ -121,7 +123,9 @@ let () = Engine.Memo.on_clear_all bump_solver_epoch
 
 type solver_slot = {
   solver : Linprog.Solver.t;
-  mutable loaded : string; (* bound key of the system currently loaded *)
+  mutable loaded : Bytes.t;
+      (* bound key of the system currently loaded, rewritten in place
+         on every reload (symbolic or template) *)
   c : float array; (* objective buffer, [nvars] slots *)
   x : float array; (* solution buffer for [reoptimize_into], [nvars + 1] *)
 }
@@ -151,30 +155,35 @@ let domain_slots () =
   end;
   t.slots
 
+let new_slot slots shape solver ~nvars ~loaded =
+  let s =
+    { solver; loaded; c = Array.make nvars 0.; x = Array.make (nvars + 1) 0. }
+  in
+  Hashtbl.replace slots shape s;
+  s
+
+let mark_loaded s key =
+  let n = String.length key in
+  if Bytes.length s.loaded <> n then s.loaded <- Bytes.of_string key
+  else Bytes.blit_string key 0 s.loaded 0 n
+
 (* Fetch this domain's slot for [shape], loading [constrs b] when the
    slot holds a different bound system (or none yet). The slot owns the
    [c]/[x] buffers its solver's [reoptimize_into] runs against, so a
    warm sweep iteration allocates nothing on the solve path. *)
 let slot_for ~shape ~key ~nvars b constrs =
   let slots = domain_slots () in
-  match Hashtbl.find_opt slots shape with
-  | Some s ->
-    if not (String.equal s.loaded key) then begin
+  match Hashtbl.find slots shape with
+  | s ->
+    if not (String.equal (Bytes.unsafe_to_string s.loaded) key) then begin
       Linprog.Solver.rebuild s.solver ~constrs:(constrs b);
-      s.loaded <- key
+      mark_loaded s key
     end;
     s
-  | None ->
-    let solver = Linprog.Solver.create ~nvars ~constrs:(constrs b) in
-    let s =
-      { solver;
-        loaded = key;
-        c = Array.make nvars 0.;
-        x = Array.make (nvars + 1) 0.;
-      }
-    in
-    Hashtbl.replace slots shape s;
-    s
+  | exception Not_found ->
+    new_slot slots shape
+      (Linprog.Solver.create ~nvars ~constrs:(constrs b))
+      ~nvars ~loaded:(Bytes.of_string key)
 
 let clear_cache () =
   Engine.Flat_memo.clear weighted_cache;
@@ -183,15 +192,17 @@ let clear_cache () =
   Engine.Memo.clear polygon_cache;
   bump_solver_epoch ()
 
-(* Latency of every LP actually solved (weighted optima and
-   feasibility probes alike); memo hits never reach this. *)
+(* Latency of every LP actually solved (weighted optima, template
+   solves and feasibility probes alike); memo hits never reach this. *)
 let lp_seconds = Telemetry.Metrics.histogram "lp.solve_seconds"
 
-let solve_weighted ~key b ~wa ~wb =
+let timed_lp span f =
   Engine.Stats.record_lp_solve ();
-  Telemetry.Span.with_span ~cat:"lp" "lp.solve"
-  @@ fun () ->
-  Telemetry.Metrics.time lp_seconds
+  Telemetry.Span.with_span ~cat:"lp" span (fun () ->
+      Telemetry.Metrics.time lp_seconds f)
+
+let solve_weighted ~key b ~wa ~wb =
+  timed_lp "lp.solve"
   @@ fun () ->
   let nvars = 2 + b.Bound.num_phases in
   let slot =
@@ -236,16 +247,185 @@ let lex_eps = 1e-7
    history-independent; the sum itself is unaffected. *)
 let max_sum_rate b = max_weighted b ~wa:(1. +. lex_eps) ~wb:1.
 
+(* --- compiled sum-rate templates -------------------------------- *)
+
+(* Every (protocol, kind) sum-rate LP has one fixed structure: only the
+   Templates.mi values in its per-phase cells change from scenario to
+   scenario. A template is that structure compiled once from
+   [Templates.bounds] itself: the system is evaluated on an [mi] whose
+   fields are distinct sentinels, loaded through [lp_constraints] and
+   the solver's normal image, and each sentinel's landing places are
+   read back — in the image (as [-. v], the per-phase coefficients are
+   negated into the [<=] rows) and in [bound_key] (as the bits of [v]).
+   A cold solve then patches those cells and words of a per-domain
+   copy, and hands the image to the same per-shape slot the symbolic
+   path uses, marked with the byte-identical bound key: symbolic and
+   template loads recognise each other, so the basis history of a
+   mixed pass is the one the symbolic path alone would give. *)
+
+type template = {
+  tag : int;                  (* [system_tag] *)
+  slot_shape : int;           (* [shape ~probe:false] of the system *)
+  nvars : int;
+  image : Linprog.Solver.image; (* sentinel image, never loaded as is *)
+  cell_at : int array;        (* image cells to patch ... *)
+  cell_field : int array;     (* ... with the negated mi field *)
+  key : string;               (* bound key of the sentinel system *)
+  key_at : int array;         (* bound-key byte offsets to patch ... *)
+  key_field : int array;      (* ... with the bits of the mi field *)
+  fields : int array;         (* distinct mi fields read, ascending *)
+}
+
+let sentinel k = 1000. +. float_of_int k
+
+let compile protocol kind =
+  let b = Templates.bounds protocol kind (Templates.of_fields sentinel) in
+  let nvars, constrs = lp_constraints b in
+  let image = Linprog.Solver.image ~nvars ~constrs in
+  let cells = Linprog.Solver.image_cells image in
+  let key = bound_key b in
+  let cell_hits = ref [] and key_hits = ref [] in
+  for k = Templates.num_fields - 1 downto 0 do
+    let v = sentinel k in
+    for i = Float.Array.length cells - 1 downto 0 do
+      if Float.Array.get cells i = -.v then cell_hits := (i, k) :: !cell_hits
+    done;
+    for w = (String.length key / 8) - 1 downto 0 do
+      if String.get_int64_le key (8 * w) = Int64.bits_of_float v then
+        key_hits := (8 * w, k) :: !key_hits
+    done
+  done;
+  let fields_of hits = List.sort_uniq compare (List.map snd hits) in
+  (* every per-phase coefficient is one tableau cell and one key word *)
+  if List.map snd !cell_hits <> List.map snd !key_hits then
+    failwith "Rate_region: template cells and key words disagree";
+  let at hits = Array.of_list (List.map fst hits)
+  and field hits = Array.of_list (List.map snd hits) in
+  { tag = system_tag protocol kind;
+    slot_shape = shape ~probe:false b;
+    nvars;
+    image;
+    cell_at = at !cell_hits;
+    cell_field = field !cell_hits;
+    key;
+    key_at = at !key_hits;
+    key_field = field !key_hits;
+    fields = Array.of_list (fields_of !cell_hits);
+  }
+
+(* Compiled on first use, then shared by every domain. Compilation is
+   pure, so two domains racing on a cold entry build equal templates
+   and the first one stored wins. *)
+let compiled = Array.init num_systems (fun _ -> Atomic.make None)
+
+let sum_rate_template protocol kind =
+  let cell = compiled.(system_tag protocol kind) in
+  match Atomic.get cell with
+  | Some t -> t
+  | None ->
+    ignore (Atomic.compare_and_set cell None (Some (compile protocol kind)));
+    Option.get (Atomic.get cell)
+
+let template_fields t = Array.copy t.fields
+
+(* Per-domain working copies: the patched image and bound key of every
+   template this domain has solved, and the mi values being patched
+   in. The template itself is shared and never written. *)
+type patch = { p_image : Linprog.Solver.image; p_key : Bytes.t }
+
+type template_scratch = {
+  patches : patch option array; (* by [system_tag] *)
+  vals : floatarray;            (* [Templates.fields_into] buffer *)
+}
+
+let template_scratch =
+  Domain.DLS.new_key (fun () ->
+      { patches = Array.make num_systems None;
+        vals = Float.Array.create Templates.num_fields;
+      })
+
+(* The memo key of a template solve: the system tag, then the bits of
+   each field the template reads. Equal keys mean equal bound keys, so
+   scenarios that differ only in fields the system ignores (DT reads
+   only the direct link) share one entry. *)
+let template_key t m =
+  let vals = (Domain.DLS.get template_scratch).vals in
+  Templates.fields_into m vals;
+  let n = Array.length t.fields in
+  let k = Bytes.create (8 * (n + 1)) in
+  put_int k 0 t.tag;
+  for i = 0 to n - 1 do
+    put_float k (8 * (i + 1)) (Float.Array.get vals t.fields.(i))
+  done;
+  Bytes.unsafe_to_string k
+
+let patch_for sc t =
+  match sc.patches.(t.tag) with
+  | Some p -> p
+  | None ->
+    let p =
+      { p_image = Linprog.Solver.copy_image t.image;
+        p_key = Bytes.of_string t.key;
+      }
+    in
+    sc.patches.(t.tag) <- Some p;
+    p
+
+let patch_cells t p vals =
+  let cells = Linprog.Solver.image_cells p.p_image in
+  for i = 0 to Array.length t.cell_at - 1 do
+    Float.Array.set cells t.cell_at.(i) (-.Float.Array.get vals t.cell_field.(i))
+  done
+
+(* The whole cold solve on a loaded slot allocates nothing: the patch
+   writes go to this domain's buffers, the load is a blit plus the
+   kernel-side carry, and [reoptimize_into] lands in the slot's [x]. *)
+let solve_template_into t m =
+  let sc = Domain.DLS.get template_scratch in
+  let vals = sc.vals in
+  Templates.fields_into m vals;
+  let p = patch_for sc t in
+  for i = 0 to Array.length t.key_at - 1 do
+    Bytes.set_int64_le p.p_key t.key_at.(i)
+      (Int64.bits_of_float (Float.Array.get vals t.key_field.(i)))
+  done;
+  let slots = domain_slots () in
+  let slot =
+    match Hashtbl.find slots t.slot_shape with
+    | s ->
+      if not (Bytes.equal s.loaded p.p_key) then begin
+        patch_cells t p vals;
+        Linprog.Solver.load s.solver p.p_image;
+        mark_loaded s (Bytes.unsafe_to_string p.p_key)
+      end;
+      s
+    | exception Not_found ->
+      patch_cells t p vals;
+      new_slot slots t.slot_shape
+        (Linprog.Solver.of_image p.p_image)
+        ~nvars:t.nvars ~loaded:(Bytes.copy p.p_key)
+  in
+  let c = slot.c in
+  Array.fill c 0 t.nvars 0.;
+  c.(0) <- 1. +. lex_eps;
+  c.(1) <- 1.;
+  match Linprog.Solver.reoptimize_into slot.solver ~c ~x:slot.x with
+  | Linprog.Solver.Optimal -> slot.x
+  | Linprog.Solver.Unbounded ->
+    failwith "Rate_region.solve_template: unbounded bound system"
+  | Linprog.Solver.Infeasible ->
+    failwith "Rate_region.solve_template: infeasible bound system"
+
+let solve_template t m =
+  timed_lp "lp.solve" @@ fun () -> Array.sub (solve_template_into t m) 0 t.nvars
+
 let max_ra_keyed ~key b = max_weighted_keyed ~key b ~wa:1. ~wb:lex_eps
 let max_rb_keyed ~key b = max_weighted_keyed ~key b ~wa:lex_eps ~wb:1.
 let max_ra b = max_ra_keyed ~key:(bound_key b) b
 let max_rb b = max_rb_keyed ~key:(bound_key b) b
 
 let probe_achievable ~key b ~ra ~rb =
-  Engine.Stats.record_lp_solve ();
-  Telemetry.Span.with_span ~cat:"lp" "lp.probe"
-  @@ fun () ->
-  Telemetry.Metrics.time lp_seconds
+  timed_lp "lp.probe"
   @@ fun () ->
   (* project out the rates: constraints over the durations only *)
   let l = b.Bound.num_phases in

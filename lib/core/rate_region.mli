@@ -40,8 +40,8 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
 val clear_cache : unit -> unit
 (** Drop this module's memoized LP optima, feasibility probes,
     boundaries and polygons, and invalidate its warm-start solvers.
-    Caches above this module survive it — {!Optimize}'s scenario-level
-    sum-rate table among them — so a later {!Optimize.sum_rate} may
+    Caches above this module survive it — {!Optimize}'s sum-rate table
+    among them — so a later {!Optimize.sum_rate} may
     still answer without solving. For a cold path through every layer
     use {!Engine.Memo.clear_all}. Never needed for correctness. *)
 
@@ -53,6 +53,49 @@ val system_tag : Protocol.t -> Bound.kind -> int
 val max_sum_rate : Bound.t -> opt_result
 (** The optimal sum rate and the durations achieving it (the quantity
     plotted in the paper's Fig. 3). *)
+
+(** {1 Compiled sum-rate templates}
+
+    The sum-rate LP of [Templates.bounds protocol kind m] has the same
+    structure for every [m]; only the per-phase coefficients change. A
+    template is that structure compiled once (from {!Templates} itself,
+    on first use): the LP's tableau image, the cells each {!Templates.mi}
+    field fills, and where those fields sit in the system's bound key.
+    Solving from a template patches the cells and reuses the per-shape,
+    per-domain solver slot the symbolic queries above use, so the two
+    paths share basis history: a template solve of the system a slot
+    already holds does not reload it, and vice versa. *)
+
+type template
+
+val sum_rate_template : Protocol.t -> Bound.kind -> template
+(** The compiled sum-rate system of the pair, built on first use and
+    shared by every domain. *)
+
+val template_fields : template -> int array
+(** The {!Templates.mi} fields (numbered as in {!Templates.num_fields})
+    the system reads, ascending: exactly the fields its symbolic bound
+    depends on. *)
+
+val template_key : template -> Templates.mi -> string
+(** A memo key for the template's answer at [m]: the system tag, then
+    the bits of each field in {!template_fields}. Two [mi]s with equal
+    keys give bit-identical bound keys, so equal LPs. *)
+
+val solve_template : template -> Templates.mi -> float array
+(** [[ra; rb; d_1; ...; d_L]]: the lexicographic sum-rate optimum
+    ({!max_sum_rate}'s objective) of [Templates.bounds protocol kind m],
+    solved without building the bound. [m] must pass
+    {!Templates.validate}; this does not check it. Records one LP solve
+    (span [lp.solve], histogram [lp.solve_seconds]) and stores nothing
+    in this module's memo tables. *)
+
+val solve_template_into : template -> Templates.mi -> float array
+(** {!solve_template} without telemetry or a result copy: returns this
+    domain's slot buffer — [ra; rb; d_1; ...; d_L] then the objective —
+    which the next LP solve on the domain overwrites. Allocates nothing
+    once the domain holds a slot of this shape and has solved this
+    template before. *)
 
 val max_ra : Bound.t -> opt_result
 (** Lexicographic: maximise Ra, then Rb (the region's rightmost corner). *)

@@ -31,6 +31,37 @@ let validate m =
   check_mi m.a_rb;
   check_mi m.b_ra
 
+let num_fields = 11
+
+let of_fields f =
+  { ab = f 0;
+    ba = f 1;
+    ar = f 2;
+    br = f 3;
+    ra = f 4;
+    rb = f 5;
+    mac_a = f 6;
+    mac_b = f 7;
+    mac_sum = f 8;
+    a_rb = f 9;
+    b_ra = f 10;
+  }
+
+(* Field by field into an unboxed buffer: reading a float field of this
+   all-float record and storing it allocates nothing. *)
+let fields_into m dst =
+  Float.Array.set dst 0 m.ab;
+  Float.Array.set dst 1 m.ba;
+  Float.Array.set dst 2 m.ar;
+  Float.Array.set dst 3 m.br;
+  Float.Array.set dst 4 m.ra;
+  Float.Array.set dst 5 m.rb;
+  Float.Array.set dst 6 m.mac_a;
+  Float.Array.set dst 7 m.mac_b;
+  Float.Array.set dst 8 m.mac_sum;
+  Float.Array.set dst 9 m.a_rb;
+  Float.Array.set dst 10 m.b_ra
+
 let t_ra = Bound.term ~ca:1. ~cb:0.
 let t_rb = Bound.term ~ca:0. ~cb:1.
 let t_sum = Bound.term ~ca:1. ~cb:1.

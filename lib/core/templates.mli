@@ -23,6 +23,17 @@ type mi = {
     but discrete networks with asymmetric input distributions may break
     all of these equalities. *)
 
+val num_fields : int
+(** 11: the fields of {!mi}, numbered [0 .. 10] in declaration order
+    ([ab] = 0, ..., [b_ra] = 10). *)
+
+val of_fields : (int -> float) -> mi
+(** [of_fields f] has field [k] equal to [f k]. *)
+
+val fields_into : mi -> floatarray -> unit
+(** Write field [k] to slot [k] of a buffer of at least {!num_fields}
+    slots, allocating nothing. *)
+
 val validate : mi -> unit
 (** All values must be finite and non-negative. *)
 

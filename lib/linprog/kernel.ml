@@ -60,7 +60,7 @@ let create ~nrows ~ncols =
 
 (* Set the active geometry, growing backing buffers only when the new
    system does not fit the current capacity. Contents are unspecified
-   afterwards — callers reload via [clear]/[set]. *)
+   afterwards — callers reload via [load] or [set]. *)
 let resize t ~nrows ~ncols =
   let stride = ncols + 1 in
   if nrows * stride > Float.Array.length t.a then
@@ -78,16 +78,23 @@ let resize t ~nrows ~ncols =
 let nrows t = t.nrows
 let ncols t = t.ncols
 
-let clear t = Float.Array.fill t.a 0 (t.nrows * t.stride) 0.
-
-let get t i j = Float.Array.unsafe_get t.a ((i * t.stride) + j)
 let set t i j v = Float.Array.unsafe_set t.a ((i * t.stride) + j) v
-let rhs t i = get t i t.ncols
+let rhs t i = Float.Array.unsafe_get t.a ((i * t.stride) + t.ncols)
 
 let basis t i = Array.unsafe_get t.basis i
 let set_basis t i b = Array.unsafe_set t.basis i b
 
 let allow_all t = Array.fill t.allowed 0 t.ncols true
+
+(* Load a prebuilt tableau image: one blit for the cells, one for the
+   starting basis. Callers outside this module would otherwise fill
+   cell by cell through [set], boxing a float per cell under
+   [-opaque]. *)
+let load t ~nrows ~ncols ~cells ~basis =
+  resize t ~nrows ~ncols;
+  Float.Array.blit cells 0 t.a 0 (nrows * t.stride);
+  Array.blit basis 0 t.basis 0 nrows;
+  allow_all t
 
 let bar_from t j0 =
   for j = j0 to t.ncols - 1 do
@@ -218,10 +225,12 @@ let eliminate t ~row ~col =
   Array.unsafe_set t.basis row col;
   Telemetry.Metrics.add row_ops_counter (!touched * stride)
 
-(* Objective of the current basic solution, written into [dst.(at)]
-   rather than returned: a float return would box across the module
-   boundary, and this runs on the allocation-free warm path. *)
-let objective_into t dst at =
+(* Objective of the current basic solution. Inlined into its callers
+   below so the accumulator stays unboxed; exported only through
+   [objective_into] (a float return would box across the module
+   boundary, and this runs on the allocation-free warm path) and the
+   boxing [objective]. *)
+let[@inline] objective_value t =
   let a = t.a and cost = t.cost and stride = t.stride and rhs_col = t.ncols in
   let acc = ref 0. in
   for i = 0 to t.nrows - 1 do
@@ -229,13 +238,11 @@ let objective_into t dst at =
     if cb <> 0. then
       acc := !acc +. (cb *. Float.Array.unsafe_get a ((i * stride) + rhs_col))
   done;
-  Array.unsafe_set dst at !acc
+  !acc
 
-(* Boxing convenience for cold paths (phase-1 feasibility check). *)
-let objective t =
-  let b = [| 0. |] in
-  objective_into t b 0;
-  b.(0)
+let objective_into t dst at = Array.unsafe_set dst at (objective_value t)
+
+let objective t = objective_value t
 
 (* Basic solution over the structural variables, into a caller-owned
    buffer. IEEE negative zeros are normalised so downstream rendering
@@ -250,6 +257,87 @@ let solution_into t ~nvars ~x =
       Array.unsafe_set x b (if v = 0. then 0. else v)
     end
   done
+
+(* The solve-to-solve checks of [Solver] live here, next to the
+   tableau they walk: under [-opaque] an element read from another
+   module is an out-of-line call returning a boxed float, which would
+   put heap blocks on the path of every template load. *)
+
+let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
+
+(* Pivot elements this small are treated as singular when
+   refactorising a carried basis. *)
+let singular_tol = 1e-7
+
+(* Refactorise a carried basis against freshly loaded rows: classic
+   Gauss-Jordan with full pivoting restricted to the carried columns
+   [carried.(0 .. nrows-1)] (permuted in place as they are consumed).
+   Row eliminations here are basis factorisation, not simplex
+   iterations — they count into [linprog.refactor_eliminations], never
+   [linprog.pivots]. Returns false on a (near-)singular basis. *)
+let refactor t ~carried ~row_done =
+  let m = t.nrows and a = t.a and stride = t.stride in
+  Array.fill row_done 0 m false;
+  let ok = ref true and step = ref 0 in
+  while !ok && !step < m do
+    (* unconsumed rows: [row_done] is false; unconsumed carried
+       columns: slots [step .. m-1] of [carried] *)
+    let best = ref singular_tol and br = ref (-1) and bc = ref (-1) in
+    for i = 0 to m - 1 do
+      if not (Array.unsafe_get row_done i) then begin
+        let off = i * stride in
+        for c = !step to m - 1 do
+          let v =
+            abs_float (Float.Array.unsafe_get a (off + Array.unsafe_get carried c))
+          in
+          if v > !best then begin
+            best := v;
+            br := i;
+            bc := c
+          end
+        done
+      end
+    done;
+    if !br < 0 then ok := false
+    else begin
+      Telemetry.Metrics.incr refactor_counter;
+      let col = Array.unsafe_get carried !bc in
+      eliminate t ~row:!br ~col;
+      Array.unsafe_set row_done !br true;
+      Array.unsafe_set carried !bc (Array.unsafe_get carried !step);
+      Array.unsafe_set carried !step col;
+      incr step
+    end
+  done;
+  !ok
+
+(* Below this a refactorised right-hand side is infeasible rather than
+   merely degenerate noise. *)
+let rhs_tol = 1e-10
+
+let rhs_feasible t =
+  let a = t.a and stride = t.stride and rhs_col = t.ncols in
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < t.nrows do
+    if Float.Array.unsafe_get a ((!i * stride) + rhs_col) < -.rhs_tol then
+      ok := false;
+    incr i
+  done;
+  !ok
+
+(* Phase 1 ended with artificial mass left over. *)
+let phase1_infeasible t = objective_value t < -.eps
+
+(* The first column below [below] with a usable entry in [row]: where a
+   basic artificial is pivoted out after phase 1; -1 = redundant row. *)
+let pivot_col t ~row ~below =
+  let a = t.a and off = row * t.stride in
+  let col = ref (-1) and j = ref 0 in
+  while !col < 0 && !j < below do
+    if abs_float (Float.Array.unsafe_get a (off + !j)) > eps then col := !j;
+    incr j
+  done;
+  !col
 
 (* Drop redundant row [i] by moving the last active row into its slot
    (value copy — same observable effect as the old row-pointer swap). *)

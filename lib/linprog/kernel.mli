@@ -30,23 +30,15 @@ val create : nrows:int -> ncols:int -> t
 (** Fresh kernel sized for an [nrows] x [ncols] system (plus the rhs
     column), zero-filled, all columns allowed. *)
 
-val resize : t -> nrows:int -> ncols:int -> unit
-(** Set the active geometry, reallocating backing buffers only when
-    the new system exceeds current capacity. Contents are unspecified
-    afterwards; reload via {!clear} and {!set}. *)
-
 val nrows : t -> int
 val ncols : t -> int
 
-val clear : t -> unit
-(** Zero the active tableau region. *)
-
-val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
-(** Element access; column [ncols] is the right-hand side. *)
+(** [set t i j v] writes element (i, j); column [ncols] is the
+    right-hand side. *)
 
 val rhs : t -> int -> float
-(** [rhs t i] = [get t i (ncols t)]. *)
+(** The right-hand side of row [i]. *)
 
 val basis : t -> int -> int
 val set_basis : t -> int -> int -> unit
@@ -56,6 +48,13 @@ val allow_all : t -> unit
 val bar_from : t -> int -> unit
 (** [bar_from t j0] forbids columns [j0 .. ncols-1] from entering the
     basis (artificials in phase 2). *)
+
+val load : t -> nrows:int -> ncols:int -> cells:floatarray -> basis:int array -> unit
+(** [load t ~nrows ~ncols ~cells ~basis] sets the geometry, growing
+    the backing buffers only when the system exceeds their capacity,
+    copies the row-major [nrows] x [(ncols + 1)] tableau
+    [cells] and the starting [basis] in with one blit each, and allows
+    every column. *)
 
 val load_cost : t -> float array -> int -> unit
 (** [load_cost t c n]: objective [c] over the first [n] (structural)
@@ -103,6 +102,26 @@ val solution_into : t -> nvars:int -> x:float array -> unit
 (** Basic solution over the [nvars] structural variables into a
     caller-owned buffer (zero-filled first; negative zeros
     normalised). *)
+
+val refactor : t -> carried:int array -> row_done:bool array -> bool
+(** Refactorise the basis [carried.(0 .. nrows-1)] against the loaded
+    rows by Gauss-Jordan with full pivoting over those columns, making
+    them basic ([carried] is permuted, [row_done] is scratch of at least
+    [nrows] slots). Each elimination counts into
+    [linprog.refactor_eliminations]. False when the basis is
+    (near-)singular; the tableau is then partly eliminated and must be
+    reloaded. *)
+
+val rhs_feasible : t -> bool
+(** No right-hand side is below -1e-10: the current basic solution is
+    feasible. *)
+
+val phase1_infeasible : t -> bool
+(** The current objective is below [-eps] (after phase 1: the system
+    has no feasible point). *)
+
+val pivot_col : t -> row:int -> below:int -> int
+(** The lowest column [j < below] with [|a(row, j)| > eps], or -1. *)
 
 val drop_row : t -> int -> unit
 (** Drop redundant row [i], moving the last active row into its slot. *)

@@ -8,8 +8,6 @@ type outcome = Optimal of solution | Unbounded | Infeasible
 
 let constr coeffs relation rhs = { coeffs; relation; rhs }
 
-let eps = 1e-9
-
 (* The tableau is a flat row-major [Kernel.t] (rhs in the last column;
    [Kernel.basis] tracks the column basic in each row, and artificials
    are disallowed in phase 2 via [Kernel.bar_from]). Each call builds a
@@ -74,13 +72,9 @@ let drive_out_artificials t ~first_artificial =
   let i = ref 0 in
   while !i < Kernel.nrows k do
     if Kernel.basis k !i >= first_artificial then begin
-      let col = ref (-1) and j = ref 0 in
-      while !col < 0 && !j < first_artificial do
-        if abs_float (Kernel.get k !i !j) > eps then col := !j;
-        incr j
-      done;
-      if !col >= 0 then begin
-        pivot t ~row:!i ~col:!col;
+      let col = Kernel.pivot_col k ~row:!i ~below:first_artificial in
+      if col >= 0 then begin
+        pivot t ~row:!i ~col;
         incr i
       end
       else Kernel.drop_row k !i (* redundant constraint *)
@@ -154,7 +148,7 @@ let maximize_impl ~c ~constrs =
   (match run_phase t with
   | `Unbounded -> assert false (* phase-1 objective is bounded above by 0 *)
   | `Optimal -> ());
-  if Kernel.objective t.k < -.eps then begin
+  if Kernel.phase1_infeasible t.k then begin
     record_solve t;
     Infeasible
   end

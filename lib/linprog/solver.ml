@@ -10,7 +10,11 @@
    pure objective sweep. [rebuild] swaps in a new constraint system in
    place; when the new system has the same structural shape the old
    optimal basis is refactorised against the fresh coefficients and, if
-   it verifies feasible, phase 1 is skipped there too.
+   it verifies feasible, phase 1 is skipped there too. Both go through
+   an [image] — the loaded tableau of a system, before any pivot — so a
+   caller that solves many systems of one fixed structure can build
+   the image once, patch its coefficient cells and [load] it: one blit
+   and the same basis carry, with no constraint list at all.
 
    The numeric core is [Kernel]: a single flat row-major [floatarray]
    tableau with allocation-free elimination/pricing/ratio loops. On top
@@ -32,14 +36,6 @@
 
 type relation = Simplex.relation = Le | Ge | Eq
 
-let eps = 1e-9
-
-(* Pivot elements this small are treated as singular when refactorising
-   a carried basis; below [rhs_tol] a refactorised right-hand side is
-   considered infeasible rather than merely degenerate noise. *)
-let singular_tol = 1e-7
-let rhs_tol = 1e-10
-
 (* Shared with [Simplex] (the registry returns the same handles). *)
 let solves_counter = Telemetry.Metrics.counter "linprog.solves"
 let pivots_counter = Telemetry.Metrics.counter "linprog.pivots"
@@ -60,8 +56,6 @@ let pivots_per_warm_solve =
   Telemetry.Metrics.histogram ~lo:1. ~growth:2. ~buckets:24
     "linprog.pivots_per_warm_solve"
 
-let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
-
 (* Bytes allocated inside LP entry points while Telemetry.Resource is
    enabled; [linprog.alloc_bytes / linprog.solves] is the per-solve
    allocation footprint. Shared with Simplex.maximize. *)
@@ -75,12 +69,26 @@ type status = Sat | Unsat
 
 type verdict = Optimal | Unbounded | Infeasible
 
+(* A loaded system before any pivot: the row-major tableau and the
+   standard phase-1 basis [fill] builds, with the geometry and per-row
+   relation tags the basis carry compares. Never mutated after [image]
+   returns, except through [image_cells] by its owner. *)
+type image = {
+  im_nvars : int;
+  im_m : int;
+  im_first_artificial : int;
+  im_ncols : int;
+  im_shape : int array;    (* per-row normalised relation tag *)
+  im_basis : int array;    (* starting basis: slack or artificial *)
+  im_cells : floatarray;   (* m x (ncols + 1), rhs last *)
+}
+
 type t = {
   nvars : int;
   (* geometry of the currently loaded (normalised) system *)
   mutable m : int;                 (* constraint rows as loaded *)
   mutable first_artificial : int;
-  mutable shape : int array;       (* per-row normalised relation tag *)
+  mutable shape : int array;       (* the loaded image's relation tags *)
   (* the flat tableau + all pricing scratch (grown on demand) *)
   k : Kernel.t;
   mutable saved_basis : int array; (* scratch for basis carry *)
@@ -117,48 +125,61 @@ let normalise nvars constrs =
       else c)
     constrs
 
-let layout nvars normalised =
+(* Every row starts from the standard phase-1 basis: its slack for
+   [Le], its artificial for [Ge] (behind a surplus slack) and [Eq]. *)
+let image ~nvars ~constrs =
+  if nvars <= 0 then invalid_arg "Linprog.Solver: nvars <= 0";
+  let normalised = normalise nvars constrs in
   let m = List.length normalised in
-  let n_slack =
-    List.length (List.filter (fun c -> c.Simplex.relation <> Eq) normalised)
+  let count rel =
+    List.length (List.filter (fun c -> c.Simplex.relation <> rel) normalised)
   in
-  let first_artificial = nvars + n_slack in
-  let n_art =
-    List.length (List.filter (fun c -> c.Simplex.relation <> Le) normalised)
-  in
-  (m, first_artificial, first_artificial + n_art)
-
-(* (Re)load the kernel with [normalised] at geometry (t.m, ncols),
-   starting every row from the standard phase-1 basis. *)
-let fill t normalised ncols =
-  let k = t.k in
-  Kernel.resize k ~nrows:t.m ~ncols;
-  Kernel.clear k;
-  let slack = ref t.nvars and art = ref t.first_artificial in
+  let first_artificial = nvars + count Eq in
+  let ncols = first_artificial + count Le in
+  let stride = ncols + 1 in
+  let cells = Float.Array.make (m * stride) 0. in
+  let shape = Array.make m 0 and basis = Array.make m 0 in
+  let set i j v = Float.Array.set cells ((i * stride) + j) v in
+  let slack = ref nvars and art = ref first_artificial in
   List.iteri
     (fun i (c : Simplex.constr) ->
-      for j = 0 to t.nvars - 1 do
-        Kernel.set k i j c.Simplex.coeffs.(j)
-      done;
-      Kernel.set k i ncols c.Simplex.rhs;
-      t.shape.(i) <- rel_tag c.Simplex.relation;
+      Array.iteri (set i) c.Simplex.coeffs;
+      set i ncols c.Simplex.rhs;
+      shape.(i) <- rel_tag c.Simplex.relation;
       (match c.Simplex.relation with
       | Le ->
-        Kernel.set k i !slack 1.;
-        Kernel.set_basis k i !slack;
+        set i !slack 1.;
+        basis.(i) <- !slack;
         incr slack
       | Ge ->
-        Kernel.set k i !slack (-1.);
+        set i !slack (-1.);
         incr slack;
-        Kernel.set k i !art 1.;
-        Kernel.set_basis k i !art;
+        set i !art 1.;
+        basis.(i) <- !art;
         incr art
       | Eq ->
-        Kernel.set k i !art 1.;
-        Kernel.set_basis k i !art;
+        set i !art 1.;
+        basis.(i) <- !art;
         incr art))
     normalised;
-  Kernel.allow_all k
+  { im_nvars = nvars;
+    im_m = m;
+    im_first_artificial = first_artificial;
+    im_ncols = ncols;
+    im_shape = shape;
+    im_basis = basis;
+    im_cells = cells;
+  }
+
+let copy_image im = { im with im_cells = Float.Array.copy im.im_cells }
+
+let image_cells im = im.im_cells
+
+(* (Re)load the kernel with [im], starting every row from the image's
+   phase-1 basis. *)
+let fill t im =
+  Kernel.load t.k ~nrows:im.im_m ~ncols:im.im_ncols ~cells:im.im_cells
+    ~basis:im.im_basis
 
 (* ------------------------------------------------------------------ *)
 (* Pivoting                                                            *)
@@ -213,13 +234,9 @@ let drive_out_artificials t =
   let i = ref 0 in
   while !i < Kernel.nrows k do
     if Kernel.basis k !i >= fa then begin
-      let col = ref (-1) and j = ref 0 in
-      while !col < 0 && !j < fa do
-        if abs_float (Kernel.get k !i !j) > eps then col := !j;
-        incr j
-      done;
-      if !col >= 0 then begin
-        pivot t ~row:!i ~col:!col;
+      let col = Kernel.pivot_col k ~row:!i ~below:fa in
+      if col >= 0 then begin
+        pivot t ~row:!i ~col;
         incr i
       end
       else Kernel.drop_row k !i
@@ -235,7 +252,7 @@ let phase1 t =
   (match run_phase t with
   | `Unbounded -> assert false (* phase-1 objective is bounded above by 0 *)
   | `Optimal -> ());
-  if Kernel.objective t.k < -.eps then t.status <- Unsat
+  if Kernel.phase1_infeasible t.k then t.status <- Unsat
   else begin
     drive_out_artificials t;
     Kernel.bar_from t.k t.first_artificial;
@@ -246,16 +263,14 @@ let phase1 t =
 (* Construction and in-place rebuild                                   *)
 (* ------------------------------------------------------------------ *)
 
-let create_impl ~nvars ~constrs =
-  if nvars <= 0 then invalid_arg "Linprog.Solver.create: nvars <= 0";
-  let normalised = normalise nvars constrs in
-  let m, first_artificial, ncols = layout nvars normalised in
+let of_image_impl im =
+  let m = im.im_m in
   let t =
-    { nvars;
+    { nvars = im.im_nvars;
       m;
-      first_artificial;
-      shape = Array.make m 0;
-      k = Kernel.create ~nrows:m ~ncols;
+      first_artificial = im.im_first_artificial;
+      shape = im.im_shape;
+      k = Kernel.create ~nrows:m ~ncols:im.im_ncols;
       saved_basis = Array.make m 0;
       row_done = Array.make m false;
       status = Sat;
@@ -265,88 +280,53 @@ let create_impl ~nvars ~constrs =
       skip1_next = false;
     }
   in
-  fill t normalised ncols;
+  fill t im;
   phase1 t;
   t
 
-(* Refactorise the carried basis against freshly loaded rows: classic
-   Gauss-Jordan with full pivoting restricted to the carried columns.
-   Row eliminations here are basis factorisation, not simplex
-   iterations — they count into [linprog.refactor_eliminations], never
-   [linprog.pivots]. Returns false on a (near-)singular basis. *)
-let refactor_basis t =
-  let k = t.k in
-  let m = t.m in
-  Array.fill t.row_done 0 m false;
-  let ok = ref true in
-  for step = 0 to m - 1 do
-    if !ok then begin
-      (* unconsumed rows: [row_done] is false; unconsumed carried
-         columns: slots [step .. m-1] of [saved_basis] *)
-      let best = ref singular_tol and br = ref (-1) and bc = ref (-1) in
-      for i = 0 to m - 1 do
-        if not t.row_done.(i) then
-          for c = step to m - 1 do
-            let a = abs_float (Kernel.get k i t.saved_basis.(c)) in
-            if a > !best then begin
-              best := a;
-              br := i;
-              bc := c
-            end
-          done
-      done;
-      if !br < 0 then ok := false
-      else begin
-        Telemetry.Metrics.incr refactor_counter;
-        Kernel.eliminate k ~row:!br ~col:t.saved_basis.(!bc);
-        t.row_done.(!br) <- true;
-        let tmp = t.saved_basis.(!bc) in
-        t.saved_basis.(!bc) <- t.saved_basis.(step);
-        t.saved_basis.(step) <- tmp
-      end
-    end
+let same_shape a b =
+  Array.length a = Array.length b
+  &&
+  let same = ref true in
+  for i = 0 to Array.length a - 1 do
+    if Array.unsafe_get a i <> Array.unsafe_get b i then same := false
   done;
-  !ok
+  !same
 
-let rebuild_impl t ~constrs =
-  let normalised = normalise t.nvars constrs in
-  let m, first_artificial, ncols = layout t.nvars normalised in
-  let same_shape =
-    t.status = Sat
-    && Kernel.nrows t.k = t.m
-    && m = t.m
-    && first_artificial = t.first_artificial
-    && ncols = Kernel.ncols t.k
-    && List.for_all2
-         (fun (c : Simplex.constr) i -> rel_tag c.Simplex.relation = t.shape.(i))
-         normalised
-         (List.init m Fun.id)
-  in
+(* Allocation-free when [im] has the loaded system's row count: the
+   geometry check, the carry, the refactorisation and the feasibility
+   test all run over preallocated scratch. *)
+let load_impl t im =
+  if im.im_nvars <> t.nvars then
+    invalid_arg "Linprog.Solver.load: image arity mismatch";
+  let m = im.im_m in
   (* a carried basis never contains artificials (drive-out guarantees
      it while nrows = m), so it is a carry candidate whenever the
      column layout is unchanged *)
-  let carry = same_shape in
+  let carry =
+    t.status = Sat
+    && Kernel.nrows t.k = t.m
+    && m = t.m
+    && im.im_first_artificial = t.first_artificial
+    && im.im_ncols = Kernel.ncols t.k
+    && same_shape im.im_shape t.shape
+  in
   if carry then
     for i = 0 to m - 1 do
-      t.saved_basis.(i) <- Kernel.basis t.k i
+      Array.unsafe_set t.saved_basis i (Kernel.basis t.k i)
     done;
   if m <> t.m then begin
-    t.shape <- Array.make m 0;
     t.saved_basis <- Array.make m 0;
     t.row_done <- Array.make m false
   end;
   t.m <- m;
-  t.first_artificial <- first_artificial;
-  fill t normalised ncols;
+  t.first_artificial <- im.im_first_artificial;
+  t.shape <- im.im_shape;
+  fill t im;
   let carried =
     carry
-    && refactor_basis t
-    &&
-    let feas = ref true in
-    for i = 0 to Kernel.nrows t.k - 1 do
-      if Kernel.rhs t.k i < -.rhs_tol then feas := false
-    done;
-    !feas
+    && Kernel.refactor t.k ~carried:t.saved_basis ~row_done:t.row_done
+    && Kernel.rhs_feasible t.k
   in
   if carried then begin
     (* the carried basis is feasible for the new system: phase 1 is
@@ -357,7 +337,7 @@ let rebuild_impl t ~constrs =
     t.skip1_next <- true
   end
   else begin
-    if carry then fill t normalised ncols (* refactorisation clobbered the rows *);
+    if carry then fill t im (* refactorisation clobbered the rows *);
     phase1 t;
     t.warm_next <- false;
     t.skip1_next <- false
@@ -439,33 +419,33 @@ let reoptimize_into_impl t ~c ~x =
       record_solve t;
       Optimal)
 
-(* Allocation-accounting wrappers around the entry points. The
-   disabled path is the plain call — one atomic load, no closure. *)
-let create ~nvars ~constrs =
-  if not (Telemetry.Resource.enabled ()) then create_impl ~nvars ~constrs
+(* Allocation-accounting wrapper for the cold entry points: the
+   disabled path is the plain call — one atomic load. *)
+let accounted f x =
+  if not (Telemetry.Resource.enabled ()) then f x
   else begin
     let b0 = Gc.allocated_bytes () in
-    Fun.protect
-      ~finally:(fun () -> record_alloc b0)
-      (fun () -> create_impl ~nvars ~constrs)
+    Fun.protect ~finally:(fun () -> record_alloc b0) (fun () -> f x)
   end
+
+let of_image im = accounted of_image_impl im
+
+let create ~nvars ~constrs =
+  accounted (fun () -> of_image_impl (image ~nvars ~constrs)) ()
 
 let rebuild t ~constrs =
-  if not (Telemetry.Resource.enabled ()) then rebuild_impl t ~constrs
-  else begin
-    let b0 = Gc.allocated_bytes () in
-    Fun.protect
-      ~finally:(fun () -> record_alloc b0)
-      (fun () -> rebuild_impl t ~constrs)
-  end
+  accounted (fun () -> load_impl t (image ~nvars:t.nvars ~constrs)) ()
 
-let reoptimize t ~c =
-  if not (Telemetry.Resource.enabled ()) then reoptimize_impl t ~c
+let reoptimize t ~c = accounted (fun c -> reoptimize_impl t ~c) c
+
+(* Like [reoptimize_into] below: no [Fun.protect], so a template load
+   stays allocation-free with accounting on. *)
+let load t im =
+  if not (Telemetry.Resource.enabled ()) then load_impl t im
   else begin
     let b0 = Gc.allocated_bytes () in
-    Fun.protect
-      ~finally:(fun () -> record_alloc b0)
-      (fun () -> reoptimize_impl t ~c)
+    load_impl t im;
+    record_alloc b0
   end
 
 (* No [Fun.protect] here: the two closures it would allocate are the

@@ -49,6 +49,42 @@ val create : nvars:int -> constrs:Simplex.constr list -> t
     Raises [Invalid_argument] on an arity mismatch. The phase-1 pivots
     are attributed to the first solve recorded on the instance. *)
 
+type image
+(** A constraint system loaded into tableau form before any pivot: the
+    row-major cells and starting basis that {!create} and {!rebuild}
+    start from. Solvers never mutate an image they load, so one image
+    may feed any number of solvers. *)
+
+val image : nvars:int -> constrs:Simplex.constr list -> image
+(** The tableau of [constrs] over [nvars] non-negative variables, after
+    sign normalisation: row [i] of [constrs] is tableau row [i], and
+    structural coefficient [j] of it sits at cell
+    [i * (ncols + 1) + j]. Raises [Invalid_argument] on an arity
+    mismatch or [nvars <= 0]. *)
+
+val copy_image : image -> image
+(** A copy whose cells may be patched without touching the original
+    (the geometry and basis are shared; they are never mutated). *)
+
+val image_cells : image -> floatarray
+(** The image's cells, row-major with the right-hand side last in each
+    row. Writing a structural coefficient cell changes that coefficient
+    of the system the image loads — the way to solve many systems of
+    one structure from one image, provided no write flips the sign of a
+    right-hand side (sign normalisation ran when the image was built). *)
+
+val of_image : image -> t
+(** {!create} from an image: load it and run phase 1. *)
+
+val load : t -> image -> unit
+(** {!rebuild} from an image, with the same basis carry: when the image
+    has the loaded system's shape the previous optimal basis is
+    refactorised against its cells and, if feasible, phase 1 is
+    skipped. A load of an image with the loaded system's row count
+    allocates nothing — the cells arrive in one blit. Raises
+    [Invalid_argument] when the image's variable count differs from
+    {!nvars}. *)
+
 val nvars : t -> int
 
 val pivots : t -> int
@@ -92,7 +128,8 @@ val rebuild : t -> constrs:Simplex.constr list -> unit
     optimal basis is refactorised against the new coefficients and, if
     it verifies feasible, phase 1 is skipped; otherwise (shape change,
     singular basis, or an infeasible carried basis) the tableau is
-    reloaded and phase 1 re-runs from scratch. *)
+    reloaded and phase 1 re-runs from scratch. Equivalent to
+    [load t (image ~nvars:(nvars t) ~constrs)]. *)
 
 val feasible : t -> bool
 (** Whether the currently loaded system has any non-negative solution.

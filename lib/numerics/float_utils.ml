@@ -1,4 +1,6 @@
-let log2 x = log x /. log 2.
+(* Inlined so [capacities_into] keeps its floats unboxed: an
+   out-of-line call would box the argument and the result. *)
+let[@inline] log2 x = log x /. log 2.
 
 (* Batched AWGN capacity: dst.(i) <- log2 (1 + src.(i)) for the first
    [n] slots. Each element goes through the same [log2 (1. +. x)]

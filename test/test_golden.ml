@@ -50,20 +50,27 @@ let test_figures_all_golden () =
   end
 
 (* The LP history of one cold `figures all` pass at one domain: how
-   many LPs were solved, with how many pivots and warm starts, and what
-   the two LP-answer memo tables returned. A cache change that re-solves
-   or skips an LP moves these counts even when every output byte stays
-   the same. *)
+   many LPs were solved, with how many pivots and warm starts, how much
+   kernel work those took, and what the two LP-answer memo tables
+   returned. A cache change that re-solves or skips an LP moves these
+   counts even when every output byte stays the same, and a change to
+   the basis history moves the row-op and refactorisation counts even
+   when the pivot totals happen to stay put. The memo split: every
+   sum-rate LP is stored once, in [optimize.sum_rate] (keyed on the
+   coefficients its template reads); [rate_region.weighted] holds only
+   the region sweeps and other symbolic queries. *)
 let lp_history =
   [ ("linprog.solves", 10_271);
     ("linprog.pivots", 11_523);
     ("linprog.warm_solves", 8_399);
+    ("linprog.kernel_row_ops", 2_376_760);
+    ("linprog.refactor_eliminations", 45_060);
     ("engine.cache_hits", 1_413);
-    ("engine.cache_misses", 19_585);
-    ("memo.optimize.sum_rate.hits", 885);
-    ("memo.optimize.sum_rate.misses", 9_286);
-    ("memo.rate_region.weighted.hits", 526);
-    ("memo.rate_region.weighted.misses", 10_241);
+    ("engine.cache_misses", 10_299);
+    ("memo.optimize.sum_rate.hits", 1_405);
+    ("memo.optimize.sum_rate.misses", 8_766);
+    ("memo.rate_region.weighted.hits", 6);
+    ("memo.rate_region.weighted.misses", 1_475);
   ]
 
 let test_lp_history_pinned () =

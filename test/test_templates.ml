@@ -1,0 +1,289 @@
+(* Compiled sum-rate templates ([Rate_region.sum_rate_template]): the
+   cold path of [Optimize.sum_rate]. Checked three ways — against an
+   exhaustive vertex enumeration that shares no code with [Kernel] or
+   [Solver], against the symbolic bounds they were compiled from, and
+   for their allocation footprint on a loaded slot. *)
+
+let systems =
+  List.concat_map
+    (fun p -> [ (p, Bidir.Bound.Inner); (p, Bidir.Bound.Outer) ])
+    Bidir.Protocol.all
+
+let system_name (p, kind) =
+  Bidir.Protocol.name p ^ "/" ^ Bidir.Bound.kind_name kind
+
+(* ------------------------------------------------------------------ *)
+(* Oracle: exhaustive vertex enumeration                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The sum-rate LP over x = [ra; rb; d_1 .. d_L] has n = 2 + L <= 6
+   variables: one row per bound term (ca ra + cb rb - sum c_l d_l <= 0),
+   the duration simplex (sum d_l = 1) and x >= 0. A vertex makes the
+   simplex row and n - 1 further constraints tight, so the optimum is
+   the best feasible point among the C(terms + n, n - 1) candidate
+   bases. *)
+type row = { a : float array; b : float }
+
+let solve_square rows n =
+  (* Gaussian elimination with partial pivoting on [A | b] *)
+  let m = Array.map (fun r -> Array.append r.a [| r.b |]) rows in
+  let ok = ref true in
+  for col = 0 to n - 1 do
+    if !ok then begin
+      let piv = ref col in
+      for i = col + 1 to n - 1 do
+        if abs_float m.(i).(col) > abs_float m.(!piv).(col) then piv := i
+      done;
+      if abs_float m.(!piv).(col) < 1e-12 then ok := false
+      else begin
+        let tmp = m.(col) in
+        m.(col) <- m.(!piv);
+        m.(!piv) <- tmp;
+        for i = 0 to n - 1 do
+          if i <> col then begin
+            let f = m.(i).(col) /. m.(col).(col) in
+            for j = col to n do
+              m.(i).(j) <- m.(i).(j) -. (f *. m.(col).(j))
+            done
+          end
+        done
+      end
+    end
+  done;
+  if !ok then Some (Array.init n (fun i -> m.(i).(n) /. m.(i).(i))) else None
+
+let rec choose k = function
+  | [] -> if k = 0 then [ [] ] else []
+  | x :: rest ->
+    if k = 0 then [ [] ]
+    else List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
+
+(* Every feasible vertex of the sum-rate LP of [b]. *)
+let vertices (b : Bidir.Bound.t) =
+  let l = b.Bidir.Bound.num_phases in
+  let n = 2 + l in
+  let term_rows =
+    List.map
+      (fun (t : Bidir.Bound.term) ->
+        { a =
+            Array.init n (fun j ->
+                if j = 0 then t.Bidir.Bound.ca
+                else if j = 1 then t.Bidir.Bound.cb
+                else -.t.Bidir.Bound.per_phase.(j - 2));
+          b = 0.;
+        })
+      b.Bidir.Bound.terms
+  in
+  let bound_rows =
+    List.init n (fun j ->
+        { a = Array.init n (fun i -> if i = j then 1. else 0.); b = 0. })
+  in
+  let simplex = { a = Array.init n (fun j -> if j >= 2 then 1. else 0.); b = 1. } in
+  let dot a x =
+    let s = ref 0. in
+    Array.iteri (fun i ai -> s := !s +. (ai *. x.(i))) a;
+    !s
+  in
+  let feasible x =
+    Array.for_all (fun v -> v >= -1e-9) x
+    && List.for_all (fun r -> dot r.a x <= 1e-9) term_rows
+  in
+  choose (n - 1) (term_rows @ bound_rows)
+  |> List.filter_map (fun tight ->
+         match solve_square (Array.of_list (simplex :: tight)) n with
+         | Some x when feasible x -> Some x
+         | _ -> None)
+
+(* The oracle's sum-rate optimum and, among the vertices attaining it,
+   the largest ra (the unique point the lexicographic objective picks). *)
+let oracle b =
+  let vs = vertices b in
+  let best = List.fold_left (fun m x -> Float.max m (x.(0) +. x.(1))) 0. vs in
+  let ra_most =
+    List.fold_left
+      (fun m x -> if x.(0) +. x.(1) >= best -. 1e-9 then Float.max m x.(0) else m)
+      neg_infinity vs
+  in
+  (best, ra_most)
+
+(* Random Gaussian scenarios over the paper's sweep range, a third of
+   them with a dead direct link (g_ab = 0) and a third with a
+   symmetric relay (g_ar = g_br, where the sum-rate face is an edge). *)
+let scenario_gen =
+  QCheck.(
+    map
+      (fun (power_db, (d_ab, d_ar, d_br), mode) ->
+        let lin = Numerics.Float_utils.db_to_lin in
+        let g_ab = if mode = 1 then 0. else lin d_ab in
+        let g_br = if mode = 2 then lin d_ar else lin d_br in
+        Bidir.Gaussian.scenario ~power_db
+          ~gains:(Channel.Gains.make ~g_ab ~g_ar:(lin d_ar) ~g_br))
+      (triple (float_range (-10.) 25.)
+         (triple (float_range (-10.) 10.) (float_range (-5.) 12.)
+            (float_range (-5.) 12.))
+         (int_range 0 2)))
+
+let prop_template_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"template sum rate = vertex-enumeration oracle (all 10 systems)"
+    scenario_gen (fun s ->
+      let m = Bidir.Gaussian.mi s in
+      List.for_all
+        (fun ((p, kind) as sys) ->
+          let b = Bidir.Templates.bounds p kind m in
+          let v =
+            Bidir.Rate_region.solve_template
+              (Bidir.Rate_region.sum_rate_template p kind)
+              m
+          in
+          let ra = v.(0) and rb = v.(1) in
+          let deltas = Array.sub v 2 (Array.length v - 2) in
+          let best, ra_most = oracle b in
+          let ok =
+            abs_float (ra +. rb -. best) <= 1e-9
+            && Bidir.Bound.satisfied b ~deltas ~ra ~rb
+            && abs_float (ra -. ra_most) <= 1e-7
+          in
+          if not ok then
+            QCheck.Test.fail_reportf
+              "%s: template (ra %.12g, rb %.12g) vs oracle sum %.12g, ra %.12g"
+              (system_name sys) ra rb best ra_most;
+          ok)
+        systems)
+
+(* ------------------------------------------------------------------ *)
+(* The coefficient key reads what the bound reads                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A template's memo key holds only the fields it reads, so it is sound
+   exactly when those are the fields the symbolic bound depends on:
+   perturbing any other field must leave the bound unchanged, and
+   perturbing one of them must change it. *)
+let prop_template_reads_bound_fields =
+  QCheck.Test.make ~count:50 ~name:"template fields = fields the bound reads"
+    QCheck.(array_of_size (Gen.return 11) (float_range 0.1 5.))
+    (fun base ->
+      let mi_of vals = Bidir.Templates.of_fields (Array.get vals) in
+      List.for_all
+        (fun ((p, kind) as sys) ->
+          let b0 = Bidir.Templates.bounds p kind (mi_of base) in
+          let read =
+            List.filter
+              (fun k ->
+                let vals = Array.copy base in
+                vals.(k) <- vals.(k) +. 1.;
+                Bidir.Templates.bounds p kind (mi_of vals) <> b0)
+              (List.init Bidir.Templates.num_fields Fun.id)
+          in
+          let compiled =
+            Array.to_list
+              (Bidir.Rate_region.template_fields
+                 (Bidir.Rate_region.sum_rate_template p kind))
+          in
+          if read <> compiled then
+            QCheck.Test.fail_reportf "%s: bound reads [%s], template [%s]"
+              (system_name sys)
+              (String.concat ";" (List.map string_of_int read))
+              (String.concat ";" (List.map string_of_int compiled));
+          true)
+        systems)
+
+(* ------------------------------------------------------------------ *)
+(* Zero allocation on a loaded slot                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* 1 000 distinct Rayleigh draws per system, solved straight from the
+   templates (no memo in between): every one patches the image, reloads
+   the slot — carrying the basis, or re-running phase 1 when the carried
+   basis is infeasible — and reoptimises, and none of it may allocate a
+   single word. The first pass loads the slots and faults every path
+   in; the second is measured. *)
+let test_cold_solve_zero_alloc () =
+  let fading =
+    Channel.Fading.create ~rng_seed:41 ~mean:Channel.Gains.paper_fig4 ()
+  in
+  let mis =
+    Array.init 1000 (fun i ->
+        let power = Numerics.Float_utils.db_to_lin (float_of_int (i mod 3) *. 5.) in
+        Bidir.Gaussian.mi
+          (Bidir.Gaussian.scenario_lin ~power ~gains:(Channel.Fading.draw fading)))
+  in
+  let templates =
+    Array.of_list
+      (List.map (fun (p, kind) -> Bidir.Rate_region.sum_rate_template p kind) systems)
+  in
+  (* loops, not [Array.iter]: a closure here would be the only heap
+     block of the sweep *)
+  let sweep () =
+    for k = 0 to Array.length templates - 1 do
+      for i = 0 to Array.length mis - 1 do
+        ignore
+          (Bidir.Rate_region.solve_template_into templates.(k) mis.(i)
+            : float array)
+      done
+    done
+  in
+  sweep ();
+  let solves = Telemetry.Metrics.counter "linprog.solves"
+  and skipped = Telemetry.Metrics.counter "linprog.phase1_skipped" in
+  let solves0 = Telemetry.Metrics.value solves
+  and skipped0 = Telemetry.Metrics.value skipped in
+  (* net of what the measurement itself costs (boxing the first
+     reading across the call) *)
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = measure ignore in
+  let words = measure sweep -. overhead in
+  let n_solves = Telemetry.Metrics.value solves - solves0 in
+  let carried = Telemetry.Metrics.value skipped - skipped0 in
+  Alcotest.(check int) "one solve per draw and system" (1000 * List.length systems)
+    n_solves;
+  Alcotest.(check bool)
+    (Printf.sprintf "both carried (%d) and phase-1 (%d) loads ran" carried
+       (n_solves - carried))
+    true
+    (carried > 0 && n_solves - carried > 0);
+  Alcotest.(check (float 0.)) "minor words across the sweep" 0. words
+
+(* ------------------------------------------------------------------ *)
+(* Invalid powers                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_invalid_power_rejected () =
+  let gains = Channel.Gains.paper_fig4 in
+  Alcotest.check_raises "scenario_lin rejects NaN"
+    (Invalid_argument "Gaussian.scenario_lin: power must be non-negative")
+    (fun () -> ignore (Bidir.Gaussian.scenario_lin ~power:nan ~gains));
+  let hits = Telemetry.Metrics.counter "memo.optimize.sum_rate.hits"
+  and misses = Telemetry.Metrics.counter "memo.optimize.sum_rate.misses" in
+  let probes () = Telemetry.Metrics.value hits + Telemetry.Metrics.value misses in
+  let before = probes () in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (p, kind) ->
+          match Bidir.Optimize.sum_rate p kind s with
+          | _ ->
+            Alcotest.failf "%s: sum_rate accepted power %g" (system_name (p, kind))
+              s.Bidir.Gaussian.power
+          | exception Invalid_argument _ -> ())
+        systems)
+    [ { Bidir.Gaussian.power = nan; gains };
+      Bidir.Gaussian.scenario_lin ~power:infinity ~gains;
+    ];
+  (* rejected before the memo is consulted, so nothing is stored *)
+  Alcotest.(check int) "memo probes" before (probes ())
+
+let suites =
+  [ ( "templates",
+      [ Alcotest.test_case "cold solve on a loaded slot allocates nothing"
+          `Quick test_cold_solve_zero_alloc;
+        Alcotest.test_case "NaN and infinite power rejected" `Quick
+          test_invalid_power_rejected;
+        QCheck_alcotest.to_alcotest prop_template_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_template_reads_bound_fields;
+      ] );
+  ]
