@@ -1076,7 +1076,7 @@ let check_cmd =
     Arg.(required & opt (some string) None
          & info [ "against" ] ~docv:"FILE"
              ~doc:"Baseline snapshot to diff against (written by a \
-                   previous $(b,--update) run, or by $(b,bench)).")
+                   previous $(b,--update) run).")
   in
   let tolerance_arg =
     Arg.(value & opt float 50.
@@ -1315,12 +1315,6 @@ let loadgen_cmd =
          & info [ "shutdown" ]
              ~doc:"POST /shutdown to the daemon when done.")
   in
-  let no_trajectory_arg =
-    Arg.(value & flag
-         & info [ "no-trajectory" ]
-             ~doc:"Do not append a bidir-trajectory/1 line to \
-                   BENCH_trajectory.jsonl.")
-  in
   let connect_timeout_arg =
     Arg.(value & opt float 10.
          & info [ "connect-timeout" ] ~docv:"SECONDS"
@@ -1356,7 +1350,7 @@ let loadgen_cmd =
     go ()
   in
   let run host port port_file clients requests rate mix seed out dump
-      shutdown no_trajectory connect_timeout =
+      shutdown connect_timeout =
     let mix =
       match Serve.Scenarios.mix_of_string mix with
       | Ok m -> m
@@ -1377,33 +1371,6 @@ let loadgen_cmd =
     write_file out
       (Telemetry.Json.to_string_pretty (Serve.Loadgen.result_to_json cfg r)
        ^ "\n");
-    if not no_trajectory then begin
-      let line =
-        Telemetry.Json.Obj
-          [ ("schema", Telemetry.Json.String "bidir-trajectory/1");
-            ("ts", Telemetry.Json.Float (Unix.gettimeofday ()));
-            ("label", Telemetry.Json.String "loadgen");
-            ("serve_qps", Telemetry.Json.Float r.Serve.Loadgen.qps);
-            ("serve_p50", Telemetry.Json.Float r.Serve.Loadgen.p50);
-            ("serve_p90", Telemetry.Json.Float r.Serve.Loadgen.p90);
-            ("serve_p99", Telemetry.Json.Float r.Serve.Loadgen.p99);
-            ("serve_ok", Telemetry.Json.Int r.Serve.Loadgen.ok);
-            ("serve_failed", Telemetry.Json.Int r.Serve.Loadgen.failed);
-            ( "server",
-              Telemetry.Json.Obj
-                (List.map
-                   (fun (k, v) -> (k, Telemetry.Json.Int v))
-                   r.Serve.Loadgen.server_counters) );
-          ]
-      in
-      let oc =
-        open_out_gen [ Open_append; Open_creat ] 0o644 "BENCH_trajectory.jsonl"
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Telemetry.Json.to_string line ^ "\n"))
-    end;
     Printf.printf
       "loadgen: %d ok, %d failed — %.1f req/s, p50 %.2f ms, p99 %.2f ms\n"
       r.Serve.Loadgen.ok r.Serve.Loadgen.failed r.Serve.Loadgen.qps
@@ -1419,8 +1386,7 @@ let loadgen_cmd =
           seeded query stream drawn from $(b,--mix) (alternating GET \
           and POST framing), measures client-observed latency, fetches \
           the daemon's serve.* counters from /metrics, and writes \
-          queries/sec plus p50/p90/p99 to $(b,--out) and the \
-          BENCH_trajectory.jsonl line.";
+          queries/sec plus p50/p90/p99 to $(b,--out).";
       `P "Exits 1 when any request failed, so CI smoke runs assert \
           zero failures by exit code.";
     ]
@@ -1428,7 +1394,7 @@ let loadgen_cmd =
   Cmd.v (Cmd.info "loadgen" ~doc ~man)
     Term.(const run $ host_arg $ port_arg $ port_file_arg $ clients_arg
           $ requests_arg $ rate_arg $ mix_arg $ seed_arg $ out_arg $ dump_arg
-          $ shutdown_arg $ no_trajectory_arg $ connect_timeout_arg)
+          $ shutdown_arg $ connect_timeout_arg)
 
 (* ------------------------------------------------------------------ *)
 (* top                                                                 *)

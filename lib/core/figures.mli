@@ -1,6 +1,6 @@
 (** Data generators for every figure and table in the paper's evaluation
     (see DESIGN.md's per-experiment index). Each generator returns plain
-    data so the bench harness, the CLI and the examples can render it
+    data so the CLI, the benchmark and the examples can render it
     however they like (terminal plot, CSV, markdown table). *)
 
 type series = { label : string; points : (float * float) list }

@@ -61,9 +61,6 @@ val reset : unit -> unit
 (** Zero every counter and phase accumulator (resets the whole
     {!Telemetry.Metrics} registry, which these live in). *)
 
-val hit_rate : snapshot -> float
-(** [hits / (hits + misses)], or 0 when no lookups were recorded. *)
-
 val to_string : snapshot -> string
-(** Multi-line human-readable rendering (used by [bench] and the CLI
-    [--stats] flag). *)
+(** Multi-line human-readable rendering (used by the CLI [--stats]
+    flag), hit rate included. *)

@@ -461,8 +461,6 @@ let reoptimize_into t ~c ~x =
     r
   end
 
-let solve_many t cs = List.map (fun c -> reoptimize t ~c) cs
-
 let feasible t =
   let sat = t.status = Sat in
   record_solve t;

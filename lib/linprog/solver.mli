@@ -117,10 +117,6 @@ val reoptimize_into : t -> c:float array -> x:float array -> verdict
     reuse them. Raises [Invalid_argument] when [c] or [x] has the
     wrong arity. *)
 
-val solve_many : t -> float array list -> Simplex.outcome list
-(** Batch [reoptimize], one outcome per objective, in order — each
-    solve warm-starts from its predecessor. *)
-
 val rebuild : t -> constrs:Simplex.constr list -> unit
 (** Replace the loaded constraint system in place ([nvars] is fixed at
     {!create}). When the new system has the same structural shape (row

@@ -112,8 +112,12 @@ let parse ?(max_head = 16 * 1024) ?(max_body = 64 * 1024) s =
             match List.assoc_opt "content-length" headers with
             | None -> Ok 0
             | Some v -> (
-              match int_of_string_opt (String.trim v) with
-              | Some n when n >= 0 -> Ok n
+              (* RFC 9110 allows 1*DIGIT only; [int_of_string_opt] alone
+                 would also take OCaml literals such as 0x2, 0_2 or +2 *)
+              let digits = String.trim v in
+              match int_of_string_opt digits with
+              | Some n when String.for_all (fun c -> c >= '0' && c <= '9') digits
+                -> Ok n
               | _ -> Error ("bad content-length: " ^ v))
           in
           match content_length with

@@ -7,8 +7,7 @@
     CI diffs across server domain counts.
 
     Reported queries/sec and percentiles land in [BENCH_serve.json]
-    (schema [bidir-bench-serve/1]) and the trajectory line via the
-    CLI wrapper. *)
+    (schema [bidir-bench-serve/1]) via the CLI wrapper. *)
 
 type config = {
   host : string;

@@ -573,10 +573,28 @@ let prop_reoptimize_into_matches_reoptimize =
    allocates zero words — tableau, scratch, pricing, telemetry and the
    solution hand-off all live in preallocated buffers. The only
    allowance is the boxing inside [Gc.allocated_bytes] itself (~a
-   dozen bytes for the measurement pair), so the budget is under two
-   words PER SWEEP, not per solve — a single heap block anywhere on
-   the warm path of any of the 64 solves fails it (the historical
-   nested-array engine allocated ~59 B/solve). *)
+   dozen bytes for the measurement pair), so the budget is 32 B PER
+   SWEEP, not per solve — a single heap block anywhere on the warm path
+   of any solve of the sweep fails it (the historical nested-array
+   engine allocated ~59 B/solve). *)
+let check_warm_sweep_zero_alloc label ~nvars ~constrs objectives =
+  let n = Array.length objectives in
+  let solver = Linprog.Solver.create ~nvars ~constrs in
+  let x = Array.make (nvars + 1) 0. in
+  (* warm pass: settle the basis, fault in every code path *)
+  for i = 0 to n - 1 do
+    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
+  done;
+  let b0 = Gc.allocated_bytes () in
+  for i = 0 to n - 1 do
+    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
+  done;
+  let delta = Gc.allocated_bytes () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.0f bytes allocated across %d warm solves" label
+       delta n)
+    true (delta < 32.)
+
 let test_reoptimize_into_zero_alloc () =
   let nvars = 5 and nrows = 7 and n = 64 in
   let rng = Prob.Rng.create ~seed:99 in
@@ -591,20 +609,31 @@ let test_reoptimize_into_zero_alloc () =
     Array.init n (fun _ ->
         Array.init nvars (fun _ -> Prob.Rng.float_range rng ~lo:0.1 ~hi:1.))
   in
-  let solver = Linprog.Solver.create ~nvars ~constrs in
-  let x = Array.make (nvars + 1) 0. in
-  (* warm pass: settle the basis, fault in every code path *)
-  for i = 0 to n - 1 do
-    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
-  done;
-  let b0 = Gc.allocated_bytes () in
-  for i = 0 to n - 1 do
-    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
-  done;
-  let delta = Gc.allocated_bytes () -. b0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "%.0f bytes allocated across %d warm solves" delta n)
-    true (delta < 32.)
+  check_warm_sweep_zero_alloc "random LP" ~nvars ~constrs objectives;
+  (* the production LP: every protocol's inner bound at the Fig. 4
+     scenario, swept over 129 boundary weights (w, 1 - w) *)
+  let scenario =
+    Bidir.Gaussian.scenario ~power_db:10. ~gains:Channel.Gains.paper_fig4
+  in
+  List.iter
+    (fun protocol ->
+      let nvars, constrs =
+        Bidir.Rate_region.lp_constraints
+          (Bidir.Gaussian.bounds protocol Bidir.Bound.Inner scenario)
+      in
+      let weights = 129 in
+      let objectives =
+        Array.init weights (fun i ->
+            let w = float_of_int i /. float_of_int (weights - 1) in
+            let c = Array.make nvars 0. in
+            c.(0) <- w;
+            c.(1) <- 1. -. w;
+            c)
+      in
+      check_warm_sweep_zero_alloc
+        (Bidir.Protocol.name protocol ^ " inner bound")
+        ~nvars ~constrs objectives)
+    Bidir.Protocol.all
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest

@@ -77,12 +77,23 @@ let test_http_incomplete_and_invalid () =
   (match Http.parse "GET /x HTTP/2.0\r\n\r\n" with
   | Http.Invalid _ -> ()
   | _ -> Alcotest.fail "unsupported version should be Invalid");
-  match
-    Http.parse ~max_body:8
-      "POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\n123456789"
-  with
+  (match
+     Http.parse ~max_body:8
+       "POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\n123456789"
+   with
   | Http.Invalid _ -> ()
-  | _ -> Alcotest.fail "oversized body should be Invalid"
+  | _ -> Alcotest.fail "oversized body should be Invalid");
+  (* Content-Length is 1*DIGIT: OCaml integer literals must not frame *)
+  List.iter
+    (fun v ->
+      match
+        Http.parse
+          (Printf.sprintf "POST /x HTTP/1.1\r\nContent-Length: %s\r\n\r\nab" v)
+      with
+      | Http.Invalid e ->
+        Alcotest.(check string) v ("bad content-length: " ^ v) e
+      | _ -> Alcotest.failf "Content-Length %S should be Invalid" v)
+    [ "0x2"; "0b10"; "0_2"; "0u2"; "+2"; "-0" ]
 
 let test_http_url_decode () =
   Alcotest.(check string)

@@ -2,7 +2,8 @@
    cold path of [Optimize.sum_rate]. Checked three ways — against an
    exhaustive vertex enumeration that shares no code with [Kernel] or
    [Solver], against the symbolic bounds they were compiled from, and
-   for their allocation footprint on a loaded slot. *)
+   for their allocation footprint on a loaded slot. The same oracle
+   checks the weighted LPs of [Rate_region.max_weighted]. *)
 
 let systems =
   List.concat_map
@@ -94,14 +95,16 @@ let vertices (b : Bidir.Bound.t) =
          | Some x when feasible x -> Some x
          | _ -> None)
 
-(* The oracle's sum-rate optimum and, among the vertices attaining it,
-   the largest ra (the unique point the lexicographic objective picks). *)
-let oracle b =
+(* The oracle's optimum of [wa ra + wb rb] (the sum rate by default)
+   and, among the vertices attaining it, the largest ra (for the sum
+   rate, the unique point the lexicographic objective picks). *)
+let oracle ?(wa = 1.) ?(wb = 1.) b =
   let vs = vertices b in
-  let best = List.fold_left (fun m x -> Float.max m (x.(0) +. x.(1))) 0. vs in
+  let value x = (wa *. x.(0)) +. (wb *. x.(1)) in
+  let best = List.fold_left (fun m x -> Float.max m (value x)) 0. vs in
   let ra_most =
     List.fold_left
-      (fun m x -> if x.(0) +. x.(1) >= best -. 1e-9 then Float.max m x.(0) else m)
+      (fun m x -> if value x >= best -. 1e-9 then Float.max m x.(0) else m)
       neg_infinity vs
   in
   (best, ra_most)
@@ -149,6 +152,37 @@ let prop_template_matches_oracle =
               "%s: template (ra %.12g, rb %.12g) vs oracle sum %.12g, ra %.12g"
               (system_name sys) ra rb best ra_most;
           ok)
+        systems)
+
+(* [Rate_region.max_weighted] on the symbolic bounds, with the memo off
+   so every query reaches the warm-started solver: the axis corners
+   (1, 0) and (0, 1) and a random convex pair per scenario. *)
+let prop_max_weighted_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"max_weighted = vertex-enumeration oracle (all 10 systems)"
+    QCheck.(pair scenario_gen (float_range 0. 1.))
+    (fun (s, w) ->
+      Engine.Memo.with_enabled false @@ fun () ->
+      List.for_all
+        (fun ((p, kind) as sys) ->
+          let b = Bidir.Gaussian.bounds p kind s in
+          List.for_all
+            (fun (wa, wb) ->
+              let r = Bidir.Rate_region.max_weighted b ~wa ~wb in
+              let ra = r.Bidir.Rate_region.ra and rb = r.Bidir.Rate_region.rb in
+              let best, _ = oracle ~wa ~wb b in
+              let got = (wa *. ra) +. (wb *. rb) in
+              let ok =
+                abs_float (got -. best) <= 1e-9
+                && Bidir.Bound.satisfied b ~deltas:r.Bidir.Rate_region.deltas
+                     ~ra ~rb
+              in
+              if not ok then
+                QCheck.Test.fail_reportf
+                  "%s at (%g, %g): (ra %.12g, rb %.12g) gives %.12g, oracle %.12g"
+                  (system_name sys) wa wb ra rb got best;
+              ok)
+            [ (1., 0.); (0., 1.); (w, 1. -. w) ])
         systems)
 
 (* ------------------------------------------------------------------ *)
@@ -284,6 +318,7 @@ let suites =
         Alcotest.test_case "NaN and infinite power rejected" `Quick
           test_invalid_power_rejected;
         QCheck_alcotest.to_alcotest prop_template_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_max_weighted_matches_oracle;
         QCheck_alcotest.to_alcotest prop_template_reads_bound_fields;
       ] );
   ]
