@@ -23,7 +23,11 @@ type estimate = {
 val ergodic_sum_rate :
   ?blocks:int -> Channel.Fading.t -> power:float -> Protocol.t -> estimate
 (** [ergodic_sum_rate fading ~power p] estimates the full-CSI adaptive
-    sum rate of protocol [p] over [blocks] (default 2000) fading draws. *)
+    sum rate of protocol [p] over [blocks] (default 2000) fading draws.
+    Each draw is one sum-rate LP solved from its compiled template
+    ({!Rate_region.solve_template}); samples are not memoized, and each
+    equals [(Optimize.sum_rate p Bound.Inner s).sum_rate] at the draw's
+    scenario [s] bit for bit. *)
 
 val outage_probability :
   ?blocks:int -> Channel.Fading.t -> power:float -> Protocol.t ->
@@ -50,5 +54,7 @@ val outage_figure :
 val ergodic_table :
   ?blocks:int -> ?powers_db:float list -> ?mean_gains:Channel.Gains.t ->
   ?seed:int -> unit -> Figures.table
-(** Extension artifact: ergodic sum rates of all four protocols under
-    Rayleigh fading with the Fig. 4 mean gains. *)
+(** Extension artifact: ergodic sum rates of all the protocols under
+    Rayleigh fading with the Fig. 4 mean gains. Every cell averages the
+    same [blocks] draws of one process seeded with [seed], exactly as
+    if each had its own fresh process. *)

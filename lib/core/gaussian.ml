@@ -47,18 +47,22 @@ let link_rates s =
    terms equal the single-user ones. *)
 let mi s =
   let r = link_rates s in
-  { Templates.ab = r.c_ab;
-    ba = r.c_ab;
-    ar = r.c_ar;
-    br = r.c_br;
-    ra = r.c_ar;
-    rb = r.c_br;
-    mac_a = r.c_ar;
-    mac_b = r.c_br;
-    mac_sum = r.c_mac;
-    a_rb = r.c_a_rb;
-    b_ra = r.c_b_ra;
-  }
+  let m =
+    { Templates.ab = r.c_ab;
+      ba = r.c_ab;
+      ar = r.c_ar;
+      br = r.c_br;
+      ra = r.c_ar;
+      rb = r.c_br;
+      mac_a = r.c_ar;
+      mac_b = r.c_br;
+      mac_sum = r.c_mac;
+      a_rb = r.c_a_rb;
+      b_ra = r.c_b_ra;
+    }
+  in
+  Templates.validate m;
+  m
 
 let bounds protocol kind s = Templates.bounds protocol kind (mi s)
 

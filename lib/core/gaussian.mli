@@ -35,7 +35,9 @@ val mi : scenario -> Templates.mi
 (** The mutual informations of Theorems 2–6 at this scenario, from
     {!link_rates}: with Gaussian inputs and reciprocal gains the relay
     broadcast is heard at [c_ar] by a and [c_br] by b, and the MAC
-    conditional terms equal the single-user ones. *)
+    conditional terms equal the single-user ones. The result has passed
+    {!Templates.validate}: raises [Invalid_argument] when a value is
+    not finite and non-negative (a NaN or infinite power, say). *)
 
 val bounds : Protocol.t -> Bound.kind -> scenario -> Bound.t
 (** The bound system of the given protocol.

@@ -15,9 +15,7 @@ type sum_rate_result = {
    relay-position sweep at one power is a single LP. *)
 let sum_rate_cache = Engine.Flat_memo.create ~name:"optimize.sum_rate" ()
 
-let sum_rate protocol kind scenario =
-  let m = Gaussian.mi scenario in
-  Templates.validate m;
+let sum_rate_of_mi protocol kind m =
   let t = Rate_region.sum_rate_template protocol kind in
   let v =
     Engine.Flat_memo.find_or_add sum_rate_cache (Rate_region.template_key t m)
@@ -42,8 +40,15 @@ let sum_rate protocol kind scenario =
     deltas = Array.sub v 2 (Array.length v - 2);
   }
 
+(* [Gaussian.mi] rejects an invalid scenario before the memo is
+   probed, so nothing is stored for it. *)
+let sum_rate protocol kind scenario =
+  sum_rate_of_mi protocol kind (Gaussian.mi scenario)
+
+(* One [Gaussian.mi] for all the protocols. *)
 let all_sum_rates kind scenario =
-  Engine.Pool.map (fun p -> sum_rate p kind scenario) Protocol.all
+  let m = Gaussian.mi scenario in
+  Engine.Pool.map (fun p -> sum_rate_of_mi p kind m) Protocol.all
 
 let best_protocol kind scenario =
   match all_sum_rates kind scenario with

@@ -22,7 +22,10 @@ val sum_rate : Protocol.t -> Bound.kind -> Gaussian.scenario -> sum_rate_result
     or infinite power, say); nothing is memoized then. *)
 
 val all_sum_rates : Bound.kind -> Gaussian.scenario -> sum_rate_result list
-(** One result per protocol, in {!Protocol.all} order. *)
+(** One result per protocol, in {!Protocol.all} order: equal, bit for
+    bit, to {!sum_rate} of each protocol, but computing and validating
+    the scenario's mutual informations once. Raises [Invalid_argument]
+    as {!sum_rate} does, before anything is memoized. *)
 
 val best_protocol : Bound.kind -> Gaussian.scenario -> sum_rate_result
 (** The protocol with the largest optimal sum rate (ties: earlier in

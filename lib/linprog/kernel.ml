@@ -28,34 +28,40 @@
 type t = {
   mutable nrows : int;        (* active rows; rows may be dropped *)
   mutable ncols : int;        (* structural + slack + artificial *)
-  mutable stride : int;       (* ncols + 1: rhs at column ncols *)
-  mutable a : floatarray;     (* row-major tableau, nrows x stride *)
+  mutable a : floatarray;     (* row-major tableau, nrows x (ncols + 1) *)
   mutable basis : int array;  (* basis.(i): column basic in row i *)
   mutable allowed : bool array; (* columns permitted to enter *)
   mutable reduced : floatarray; (* reduced-cost scratch *)
   mutable cost : floatarray;    (* current objective over all columns *)
   mutable degenerate : bool;  (* last ratio test hit a zero ratio *)
+  mutable row_ops : int;      (* element updates since [flush_counts] *)
 }
+
+(* The row stride: the right-hand side sits at column [ncols]. Derived
+   rather than stored, which keeps the record at nine fields: [Simplex]
+   builds one per solve. *)
+let[@inline] stride t = t.ncols + 1
 
 let eps = 1e-9
 
 (* Element updates spent in elimination loops (each is one multiply +
    one subtract, or one divide on the pivot row): a deterministic flops
-   proxy for the kernel, counted once per elimination so the hot loop
-   itself stays allocation- and atomic-free. *)
+   proxy for the kernel. Eliminations add them up in [row_ops]; the
+   solver entry points publish the total once per call through
+   [flush_counts], so no elimination pays an atomic. *)
 let row_ops_counter = Telemetry.Metrics.counter "linprog.kernel_row_ops"
 
 let create ~nrows ~ncols =
   let stride = ncols + 1 in
   { nrows;
     ncols;
-    stride;
     a = Float.Array.make (max 1 (nrows * stride)) 0.;
     basis = Array.make (max 1 nrows) 0;
     allowed = Array.make (max 1 ncols) true;
     reduced = Float.Array.make (max 1 ncols) 0.;
     cost = Float.Array.make (max 1 ncols) 0.;
     degenerate = false;
+    row_ops = 0;
   }
 
 (* Set the active geometry, growing backing buffers only when the new
@@ -72,14 +78,13 @@ let resize t ~nrows ~ncols =
     t.cost <- Float.Array.make ncols 0.
   end;
   t.nrows <- nrows;
-  t.ncols <- ncols;
-  t.stride <- stride
+  t.ncols <- ncols
 
 let nrows t = t.nrows
 let ncols t = t.ncols
 
-let set t i j v = Float.Array.unsafe_set t.a ((i * t.stride) + j) v
-let rhs t i = Float.Array.unsafe_get t.a ((i * t.stride) + t.ncols)
+let set t i j v = Float.Array.unsafe_set t.a ((i * stride t) + j) v
+let rhs t i = Float.Array.unsafe_get t.a ((i * stride t) + t.ncols)
 
 let basis t i = Array.unsafe_get t.basis i
 let set_basis t i b = Array.unsafe_set t.basis i b
@@ -92,7 +97,7 @@ let allow_all t = Array.fill t.allowed 0 t.ncols true
    [-opaque]. *)
 let load t ~nrows ~ncols ~cells ~basis =
   resize t ~nrows ~ncols;
-  Float.Array.blit cells 0 t.a 0 (nrows * t.stride);
+  Float.Array.blit cells 0 t.a 0 (nrows * stride t);
   Array.blit basis 0 t.basis 0 nrows;
   allow_all t
 
@@ -132,7 +137,7 @@ let compute_reduced t =
   for i = 0 to t.nrows - 1 do
     let cb = Float.Array.unsafe_get cost (Array.unsafe_get t.basis i) in
     if cb <> 0. then begin
-      let off = i * t.stride in
+      let off = i * stride t in
       for j = 0 to n - 1 do
         Float.Array.unsafe_set red j
           (Float.Array.unsafe_get red j
@@ -172,7 +177,7 @@ let price_dantzig t =
    among ties; -1 = unbounded. Sets [degenerate] when the winning ratio
    is (numerically) zero. *)
 let ratio_leave t ~col =
-  let a = t.a and stride = t.stride and rhs_col = t.ncols in
+  let a = t.a and stride = stride t and rhs_col = t.ncols in
   let leave = ref (-1) and best = ref infinity in
   for i = 0 to t.nrows - 1 do
     let off = i * stride in
@@ -200,7 +205,7 @@ let degenerate t = t.degenerate
    [col], and make [col] basic in [row]. Identical arithmetic (and
    operation order) to the historical nested implementation. *)
 let eliminate t ~row ~col =
-  let a = t.a and stride = t.stride and ncols = t.ncols in
+  let a = t.a and stride = stride t and ncols = t.ncols in
   let roff = row * stride in
   let p = Float.Array.unsafe_get a (roff + col) in
   for j = 0 to ncols do
@@ -223,7 +228,13 @@ let eliminate t ~row ~col =
     end
   done;
   Array.unsafe_set t.basis row col;
-  Telemetry.Metrics.add row_ops_counter (!touched * stride)
+  t.row_ops <- t.row_ops + (!touched * stride)
+
+let flush_counts t =
+  if t.row_ops <> 0 then begin
+    Telemetry.Metrics.add row_ops_counter t.row_ops;
+    t.row_ops <- 0
+  end
 
 (* Objective of the current basic solution. Inlined into its callers
    below so the accumulator stays unboxed; exported only through
@@ -231,7 +242,7 @@ let eliminate t ~row ~col =
    boundary, and this runs on the allocation-free warm path) and the
    boxing [objective]. *)
 let[@inline] objective_value t =
-  let a = t.a and cost = t.cost and stride = t.stride and rhs_col = t.ncols in
+  let a = t.a and cost = t.cost and stride = stride t and rhs_col = t.ncols in
   let acc = ref 0. in
   for i = 0 to t.nrows - 1 do
     let cb = Float.Array.unsafe_get cost (Array.unsafe_get t.basis i) in
@@ -245,16 +256,19 @@ let objective_into t dst at = Array.unsafe_set dst at (objective_value t)
 let objective t = objective_value t
 
 (* Basic solution over the structural variables, into a caller-owned
-   buffer. IEEE negative zeros are normalised so downstream rendering
-   never prints "-0" (same policy as the warm solver always had). *)
+   buffer. Every structural variable is non-negative, so a basic value
+   in [-eps, 0] is elimination round-off (a carried basis is accepted
+   with right-hand sides down to -[rhs_tol]): it is reported as 0. That
+   also normalises IEEE negative zeros, so downstream rendering never
+   prints "-0", and a phase duration is never negative. *)
 let solution_into t ~nvars ~x =
   Array.fill x 0 nvars 0.;
-  let a = t.a and stride = t.stride and rhs_col = t.ncols in
+  let a = t.a and stride = stride t and rhs_col = t.ncols in
   for i = 0 to t.nrows - 1 do
     let b = Array.unsafe_get t.basis i in
     if b < nvars then begin
       let v = Float.Array.unsafe_get a ((i * stride) + rhs_col) in
-      Array.unsafe_set x b (if v = 0. then 0. else v)
+      Array.unsafe_set x b (if v <= 0. && v >= -.eps then 0. else v)
     end
   done
 
@@ -262,8 +276,6 @@ let solution_into t ~nvars ~x =
    tableau they walk: under [-opaque] an element read from another
    module is an out-of-line call returning a boxed float, which would
    put heap blocks on the path of every template load. *)
-
-let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
 
 (* Pivot elements this small are treated as singular when
    refactorising a carried basis. *)
@@ -273,10 +285,13 @@ let singular_tol = 1e-7
    Gauss-Jordan with full pivoting restricted to the carried columns
    [carried.(0 .. nrows-1)] (permuted in place as they are consumed).
    Row eliminations here are basis factorisation, not simplex
-   iterations — they count into [linprog.refactor_eliminations], never
-   [linprog.pivots]. Returns false on a (near-)singular basis. *)
+   iterations — they count into [linprog.refactor_eliminations] (one
+   add per call, at the end), never [linprog.pivots]. Returns false on
+   a (near-)singular basis. *)
+let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
+
 let refactor t ~carried ~row_done =
-  let m = t.nrows and a = t.a and stride = t.stride in
+  let m = t.nrows and a = t.a and stride = stride t in
   Array.fill row_done 0 m false;
   let ok = ref true and step = ref 0 in
   while !ok && !step < m do
@@ -300,7 +315,6 @@ let refactor t ~carried ~row_done =
     done;
     if !br < 0 then ok := false
     else begin
-      Telemetry.Metrics.incr refactor_counter;
       let col = Array.unsafe_get carried !bc in
       eliminate t ~row:!br ~col;
       Array.unsafe_set row_done !br true;
@@ -309,6 +323,7 @@ let refactor t ~carried ~row_done =
       incr step
     end
   done;
+  Telemetry.Metrics.add refactor_counter !step;
   !ok
 
 (* Below this a refactorised right-hand side is infeasible rather than
@@ -316,7 +331,7 @@ let refactor t ~carried ~row_done =
 let rhs_tol = 1e-10
 
 let rhs_feasible t =
-  let a = t.a and stride = t.stride and rhs_col = t.ncols in
+  let a = t.a and stride = stride t and rhs_col = t.ncols in
   let ok = ref true and i = ref 0 in
   while !ok && !i < t.nrows do
     if Float.Array.unsafe_get a ((!i * stride) + rhs_col) < -.rhs_tol then
@@ -331,7 +346,7 @@ let phase1_infeasible t = objective_value t < -.eps
 (* The first column below [below] with a usable entry in [row]: where a
    basic artificial is pivoted out after phase 1; -1 = redundant row. *)
 let pivot_col t ~row ~below =
-  let a = t.a and off = row * t.stride in
+  let a = t.a and off = row * stride t in
   let col = ref (-1) and j = ref 0 in
   while !col < 0 && !j < below do
     if abs_float (Float.Array.unsafe_get a (off + !j)) > eps then col := !j;
@@ -344,7 +359,8 @@ let pivot_col t ~row ~below =
 let drop_row t i =
   let last = t.nrows - 1 in
   if i < last then begin
-    Float.Array.blit t.a (last * t.stride) t.a (i * t.stride) t.stride;
+    let stride = stride t in
+    Float.Array.blit t.a (last * stride) t.a (i * stride) stride;
     t.basis.(i) <- t.basis.(last)
   end;
   t.nrows <- last

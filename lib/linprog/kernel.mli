@@ -89,7 +89,14 @@ val degenerate : t -> bool
 val eliminate : t -> row:int -> col:int -> unit
 (** Gauss-Jordan pivot on (row, col): scales the pivot row, eliminates
     [col] from every other row, makes [col] basic in [row]. Element
-    updates are accounted in the [linprog.kernel_row_ops] counter. *)
+    updates are added to the kernel's pending [linprog.kernel_row_ops]
+    count (see {!flush_counts}). *)
+
+val flush_counts : t -> unit
+(** Publish the element updates done since the last flush to
+    [linprog.kernel_row_ops] with one add, and zero the pending count.
+    Every solver entry point calls this before it returns, so the
+    registry total is exact whenever no LP call is in flight. *)
 
 val objective_into : t -> float array -> int -> unit
 (** Objective value of the current basic solution, written to
@@ -100,17 +107,19 @@ val objective : t -> float
 
 val solution_into : t -> nvars:int -> x:float array -> unit
 (** Basic solution over the [nvars] structural variables into a
-    caller-owned buffer (zero-filled first; negative zeros
-    normalised). *)
+    caller-owned buffer (zero-filled first). A value in [[-eps, 0]] is
+    round-off on a non-negative variable and is reported as [0.], so
+    neither a negative zero nor a tiny negative value is returned. *)
 
 val refactor : t -> carried:int array -> row_done:bool array -> bool
 (** Refactorise the basis [carried.(0 .. nrows-1)] against the loaded
     rows by Gauss-Jordan with full pivoting over those columns, making
     them basic ([carried] is permuted, [row_done] is scratch of at least
-    [nrows] slots). Each elimination counts into
-    [linprog.refactor_eliminations]. False when the basis is
-    (near-)singular; the tableau is then partly eliminated and must be
-    reloaded. *)
+    [nrows] slots). Its eliminations are added to
+    [linprog.refactor_eliminations] with one add before it returns
+    (their element updates go to the pending {!flush_counts} count).
+    False when the basis is (near-)singular; the tableau is then partly
+    eliminated and must be reloaded. *)
 
 val rhs_feasible : t -> bool
 (** No right-hand side is below -1e-10: the current basic solution is

@@ -21,13 +21,9 @@ type tableau = {
   mutable pivots : int;       (* pivot operations over both phases *)
 }
 
-(* Telemetry only observes (counters and a per-solve pivot histogram). *)
+(* Telemetry only observes (counters). *)
 let solves_counter = Telemetry.Metrics.counter "linprog.solves"
 let pivots_counter = Telemetry.Metrics.counter "linprog.pivots"
-
-let pivots_per_solve =
-  Telemetry.Metrics.histogram ~lo:1. ~growth:2. ~buckets:24
-    "linprog.pivots_per_solve"
 
 (* Bytes allocated inside LP solves while Telemetry.Resource is
    enabled (shared with the warm-start Solver's entry points);
@@ -37,7 +33,7 @@ let alloc_bytes_counter = Telemetry.Metrics.counter "linprog.alloc_bytes"
 let record_solve t =
   Telemetry.Metrics.incr solves_counter;
   Telemetry.Metrics.add pivots_counter t.pivots;
-  Telemetry.Metrics.observe_int pivots_per_solve t.pivots
+  Kernel.flush_counts t.k
 
 let pivot t ~row ~col =
   t.pivots <- t.pivots + 1;
@@ -177,11 +173,12 @@ let maximize_impl ~c ~constrs =
 let maximize ~c ~constrs =
   if not (Telemetry.Resource.enabled ()) then maximize_impl ~c ~constrs
   else begin
-    let b0 = Gc.allocated_bytes () in
+    let b0 = Telemetry.Resource.alloc_mark_begin () in
     Fun.protect
       ~finally:(fun () ->
         Telemetry.Metrics.add alloc_bytes_counter
-          (int_of_float (Float.max 0. (Gc.allocated_bytes () -. b0))))
+          (int_of_float
+             (Float.max 0. (Telemetry.Resource.alloc_mark_end () -. b0))))
       (fun () -> maximize_impl ~c ~constrs)
   end
 

@@ -16,10 +16,10 @@
     parallel sweep engine ([Engine.Pool] / [Rate_region]) relies on
     both properties; see [docs/ENGINE.md].
 
-    {b Telemetry:} every solve updates the [linprog.solves] and
-    [linprog.pivots] counters and the [linprog.pivots_per_solve]
-    histogram in {!Telemetry.Metrics}. These are atomic, write-only
-    observations and never influence the solution path.
+    {b Telemetry:} every solve updates the [linprog.solves],
+    [linprog.pivots] and [linprog.kernel_row_ops] counters in
+    {!Telemetry.Metrics} before it returns. These are atomic,
+    write-only observations and never influence the solution path.
 
     This module is the cold-start reference implementation: every call
     pays for tableau construction and phase 1. Sweeps that solve many

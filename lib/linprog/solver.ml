@@ -40,30 +40,23 @@ type relation = Simplex.relation = Le | Ge | Eq
 let solves_counter = Telemetry.Metrics.counter "linprog.solves"
 let pivots_counter = Telemetry.Metrics.counter "linprog.pivots"
 
-let pivots_per_solve =
-  Telemetry.Metrics.histogram ~lo:1. ~growth:2. ~buckets:24
-    "linprog.pivots_per_solve"
-
 (* Warm-start telemetry: solves that started from a previously optimal
-   basis, solves where that let us skip phase 1 entirely, their pivot
-   distribution, and the row eliminations spent refactorising carried
-   bases (basis factorisation work, not simplex iterations — kept in
-   its own counter so the pivot totals stay honest). *)
+   basis and solves where that let us skip phase 1 entirely. The row
+   eliminations spent refactorising carried bases (basis factorisation
+   work, not simplex iterations) are counted by the kernel into
+   [linprog.refactor_eliminations], so the pivot totals stay honest. *)
 let warm_solves_counter = Telemetry.Metrics.counter "linprog.warm_solves"
 let phase1_skipped_counter = Telemetry.Metrics.counter "linprog.phase1_skipped"
 
-let pivots_per_warm_solve =
-  Telemetry.Metrics.histogram ~lo:1. ~growth:2. ~buckets:24
-    "linprog.pivots_per_warm_solve"
-
-(* Bytes allocated inside LP entry points while Telemetry.Resource is
-   enabled; [linprog.alloc_bytes / linprog.solves] is the per-solve
-   allocation footprint. Shared with Simplex.maximize. *)
+(* Allocation inside LP entry points while Telemetry.Resource is
+   enabled, between [Resource.alloc_mark_begin]/[_end] marks;
+   [linprog.alloc_bytes / linprog.solves] is the per-solve allocation
+   footprint. Shared with Simplex.maximize. *)
 let alloc_bytes_counter = Telemetry.Metrics.counter "linprog.alloc_bytes"
 
 let record_alloc b0 =
   Telemetry.Metrics.add alloc_bytes_counter
-    (int_of_float (Float.max 0. (Gc.allocated_bytes () -. b0)))
+    (int_of_float (Float.max 0. (Telemetry.Resource.alloc_mark_end () -. b0)))
 
 type status = Sat | Unsat
 
@@ -282,6 +275,7 @@ let of_image_impl im =
   in
   fill t im;
   phase1 t;
+  Kernel.flush_counts t.k;
   t
 
 let same_shape a b =
@@ -341,24 +335,21 @@ let load_impl t im =
     phase1 t;
     t.warm_next <- false;
     t.skip1_next <- false
-  end
+  end;
+  Kernel.flush_counts t.k
 
 (* ------------------------------------------------------------------ *)
 (* Solving                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Counters plus the per-solve pivot distributions. [observe_int] keeps
-   this allocation-free, so recording rides inside the zero-alloc warm
-   path without widening its footprint. *)
+(* Counters only, and the kernel's pending work: allocation-free, so
+   recording rides inside the zero-alloc warm path. *)
 let record_solve t =
   Telemetry.Metrics.incr solves_counter;
   Telemetry.Metrics.add pivots_counter t.pending_pivots;
-  Telemetry.Metrics.observe_int pivots_per_solve t.pending_pivots;
-  if t.warm_next then begin
-    Telemetry.Metrics.incr warm_solves_counter;
-    Telemetry.Metrics.observe_int pivots_per_warm_solve t.pending_pivots
-  end;
+  if t.warm_next then Telemetry.Metrics.incr warm_solves_counter;
   if t.skip1_next then Telemetry.Metrics.incr phase1_skipped_counter;
+  Kernel.flush_counts t.k;
   t.recorded_pivots <- t.recorded_pivots + t.pending_pivots;
   t.pending_pivots <- 0;
   (* anything solved on this instance from here on starts from the
@@ -424,7 +415,7 @@ let reoptimize_into_impl t ~c ~x =
 let accounted f x =
   if not (Telemetry.Resource.enabled ()) then f x
   else begin
-    let b0 = Gc.allocated_bytes () in
+    let b0 = Telemetry.Resource.alloc_mark_begin () in
     Fun.protect ~finally:(fun () -> record_alloc b0) (fun () -> f x)
   end
 
@@ -443,7 +434,7 @@ let reoptimize t ~c = accounted (fun c -> reoptimize_impl t ~c) c
 let load t im =
   if not (Telemetry.Resource.enabled ()) then load_impl t im
   else begin
-    let b0 = Gc.allocated_bytes () in
+    let b0 = Telemetry.Resource.alloc_mark_begin () in
     load_impl t im;
     record_alloc b0
   end
@@ -455,7 +446,7 @@ let load t im =
 let reoptimize_into t ~c ~x =
   if not (Telemetry.Resource.enabled ()) then reoptimize_into_impl t ~c ~x
   else begin
-    let b0 = Gc.allocated_bytes () in
+    let b0 = Telemetry.Resource.alloc_mark_begin () in
     let r = reoptimize_into_impl t ~c ~x in
     record_alloc b0;
     r

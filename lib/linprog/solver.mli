@@ -32,14 +32,16 @@
     keeps its pure per-call contract and remains the reference the
     QCheck suite checks this engine against.
 
-    {b Telemetry:} every recorded solve updates [linprog.solves],
-    [linprog.pivots] and [linprog.pivots_per_solve] exactly as the
-    reference does, plus [linprog.warm_solves] /
-    [linprog.phase1_skipped] / [linprog.pivots_per_warm_solve] for
-    solves that started from a previously optimal basis. Row
-    eliminations spent refactorising a carried basis are basis
-    factorisation, not simplex iterations; they are kept separate in
-    [linprog.refactor_eliminations]. *)
+    {b Telemetry:} every recorded solve updates [linprog.solves] and
+    [linprog.pivots] exactly as the reference does, plus
+    [linprog.warm_solves] / [linprog.phase1_skipped] for solves that
+    started from a previously optimal basis. Row eliminations spent
+    refactorising a carried basis are basis factorisation, not simplex
+    iterations; they are kept separate in
+    [linprog.refactor_eliminations]. The kernel's element updates
+    ([linprog.kernel_row_ops]) and refactorisation steps are published
+    once per call: {!of_image}, {!load} (and so {!create} and
+    {!rebuild}) and every solve flush them before returning. *)
 
 type t
 

@@ -42,11 +42,19 @@ let histogram ?lo ?growth ?buckets name =
 let observe = Histogram.observe
 let observe_int = Histogram.observe_int
 
+(* [match ... with exception] rather than [Fun.protect]: this wraps
+   every LP solve, and the two closures [Fun.protect] takes would be
+   allocated per call. *)
 let time h f =
   let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () -> Histogram.observe h (Unix.gettimeofday () -. t0))
-    f
+  match f () with
+  | v ->
+    Histogram.observe h (Unix.gettimeofday () -. t0);
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Histogram.observe h (Unix.gettimeofday () -. t0);
+    Printexc.raise_with_backtrace e bt
 
 let sorted_entries () =
   with_lock (fun () ->

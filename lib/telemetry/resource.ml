@@ -64,6 +64,28 @@ let measure f =
   let r = f () in
   (r, delta_since s0)
 
+(* On OCaml 5.1 [Gc.allocated_bytes] reads the minor heap in progress
+   at one eighth of its words — between collections its minor part
+   counts words, not bytes — and catches up when a minor collection
+   runs. An accounted LP call that a collection happened to land in
+   therefore read about 1.8 MB (7/8 of a 256 k-word minor heap) instead
+   of a few bytes. A mark takes the minor part from the live
+   [Gc.minor_words] instead, on the same one-per-word scale, plus 8 per
+   word allocated directly on the major heap (promotion adds equally to
+   the major and promoted totals, so it cancels). A delta of marks is
+   what [Gc.allocated_bytes] read whenever no collection intervened,
+   and does not jump when one does. The begin mark reads the live
+   counter last and the end mark first, so neither counts its own
+   [Gc.counters] tuple. *)
+let alloc_mark_begin () =
+  let _, promoted, major = Gc.counters () in
+  (8. *. (major -. promoted)) +. Gc.minor_words ()
+
+let alloc_mark_end () =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  (8. *. (major -. promoted)) +. minor
+
 (* ------------------------------------------------------------------ *)
 (* Registry aggregation                                                *)
 (* ------------------------------------------------------------------ *)

@@ -47,6 +47,16 @@ val measure : (unit -> 'a) -> 'a * delta
 (** [measure f] runs [f] and returns its result together with the GC
     delta across the call. Unconditional — does not consult {!enabled}. *)
 
+val alloc_mark_begin : unit -> float
+val alloc_mark_end : unit -> float
+(** Allocation marks for [linprog.alloc_bytes]: [alloc_mark_end () -.
+    b0] with [b0 = alloc_mark_begin ()] is the allocation between the
+    two, counting a minor-heap word as 1 and a major-heap word as 8 —
+    what [Gc.allocated_bytes] reads on OCaml 5.1 between collections —
+    but without the jump [Gc.allocated_bytes] makes when a minor
+    collection runs in between. Current domain only. Unconditional;
+    callers gate on {!enabled}. *)
+
 val account : (unit -> 'a) -> 'a
 (** Run the thunk and fold its GC delta into the registry counters
     [gc.minor_words], [gc.major_words], [gc.promoted_words],

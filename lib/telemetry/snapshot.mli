@@ -82,11 +82,11 @@ val default_policy : ?tolerance:float -> unit -> policy
     [campaign.pool_idle_seconds] is [Budget] (one-sided on its sum);
     names ending in [_seconds] / [.seconds] or starting with [phase.]
     get [Time_band tolerance] (default 0.5, i.e. ±50%) — this covers
-    the [engine.pool.*_seconds] utilization histograms; the per-solve
-    pivot distributions ([linprog.pivots_per_solve],
-    [linprog.pivots_per_warm_solve]) and the scheduling-noise ratio
-    [engine.pool.chunk_imbalance] are [Ignore]; every other histogram
-    is [Exact]. *)
+    the [engine.pool.*_seconds] utilization histograms; the
+    scheduling-noise ratio [engine.pool.chunk_imbalance] and the
+    retired per-solve pivot distributions ([linprog.pivots_per_solve],
+    [linprog.pivots_per_warm_solve], still present in older
+    baselines) are [Ignore]; every other histogram is [Exact]. *)
 
 type value =
   | Counter of int

@@ -91,6 +91,62 @@ let test_ergodic_table_shape () =
   Alcotest.(check int) "5 protocols x 1 power" 5
     (List.length t.Bidir.Figures.rows)
 
+(* Fading samples are solved straight from their compiled templates:
+   a cold table of 3 powers x 5 protocols x 50 draws is 750 LPs and
+   not one probe of the sum-rate memo. *)
+let test_ergodic_table_unmemoized () =
+  let counter = Telemetry.Metrics.counter in
+  let watched =
+    [ ("memo.optimize.sum_rate.hits", 0);
+      ("memo.optimize.sum_rate.misses", 0);
+      ("linprog.solves", 750);
+    ]
+  in
+  Engine.Memo.clear_all ();
+  let before =
+    List.map (fun (name, _) -> Telemetry.Metrics.value (counter name)) watched
+  in
+  ignore (Bidir.Ergodic.ergodic_table ~blocks:50 () : Bidir.Figures.table);
+  List.iter2
+    (fun (name, want) b ->
+      Alcotest.(check int) name want (Telemetry.Metrics.value (counter name) - b))
+    watched before
+
+(* The table as it was computed before its draws were shared and its
+   samples left the memo: a fresh fading process per cell, then
+   [Optimize.sum_rate] per draw. The rows must match byte for byte. *)
+let test_ergodic_table_matches_per_cell () =
+  let blocks = 50 and seed = 2024 and powers_db = [ 0.; 5.; 10. ] in
+  let old_rows =
+    List.concat_map
+      (fun power_db ->
+        let power = Numerics.Float_utils.db_to_lin power_db in
+        List.map
+          (fun protocol ->
+            let fading =
+              Channel.Fading.create ~rng_seed:seed ~mean:paper_gains ()
+            in
+            let samples =
+              Array.init blocks (fun _ ->
+                  let s =
+                    Bidir.Gaussian.scenario_lin ~power
+                      ~gains:(Channel.Fading.draw fading)
+                  in
+                  (Bidir.Optimize.sum_rate protocol Bidir.Bound.Inner s)
+                    .Bidir.Optimize.sum_rate)
+            in
+            let lo, hi = Numerics.Stats.confidence_interval_95 samples in
+            [ Printf.sprintf "%g" power_db;
+              Bidir.Protocol.name protocol;
+              Printf.sprintf "%.4f" (Numerics.Stats.mean samples);
+              Printf.sprintf "[%.4f, %.4f]" lo hi;
+            ])
+          Bidir.Protocol.all)
+      powers_db
+  in
+  let t = Bidir.Ergodic.ergodic_table ~blocks ~powers_db ~seed () in
+  Alcotest.(check (list (list string))) "rows" old_rows t.Bidir.Figures.rows
+
 (* ------------------------------------------------------------------ *)
 (* Relay_selection                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -251,6 +307,10 @@ let suites =
           test_outage_probability_monotone;
         Alcotest.test_case "epsilon-outage rate" `Slow test_epsilon_outage_rate;
         Alcotest.test_case "table shape" `Quick test_ergodic_table_shape;
+        Alcotest.test_case "table solves without the memo" `Quick
+          test_ergodic_table_unmemoized;
+        Alcotest.test_case "table = per-cell memoized table" `Quick
+          test_ergodic_table_matches_per_cell;
       ] );
     ( "bidir.relay_selection",
       [ Alcotest.test_case "candidates on line" `Quick test_candidates_on_line;

@@ -635,6 +635,32 @@ let test_reoptimize_into_zero_alloc () =
         ~nvars ~constrs objectives)
     Bidir.Protocol.all
 
+(* The kernel adds its work up in plain fields and publishes it once
+   per entry point. A [Solver.load] that carries and refactorises the
+   previous optimal basis, with no solve after it, must already have
+   moved both work counters; so must a one-shot [Simplex.maximize],
+   whose kernel is dropped when it returns. *)
+let test_kernel_counts_flushed () =
+  let row_ops = Telemetry.Metrics.counter "linprog.kernel_row_ops"
+  and refactor = Telemetry.Metrics.counter "linprog.refactor_eliminations" in
+  let value = Telemetry.Metrics.value in
+  let system scale =
+    [ c_ [| 1.; 2. |] le (4. *. scale); c_ [| 3.; 1. |] le (6. *. scale) ]
+  in
+  let image scale = Linprog.Solver.image ~nvars:2 ~constrs:(system scale) in
+  let solver = Linprog.Solver.of_image (image 1.) in
+  (* optimum at the vertex where both rows bind: x and y basic *)
+  ignore (expect_optimal (Linprog.Solver.reoptimize solver ~c:[| 1.; 1. |]));
+  let r0 = value row_ops and f0 = value refactor in
+  Linprog.Solver.load solver (image 2.);
+  Alcotest.(check int) "refactor eliminations after load" 2
+    (value refactor - f0);
+  Alcotest.(check bool) "row ops after load" true (value row_ops > r0);
+  let r1 = value row_ops in
+  ignore (expect_optimal (solve_max [| 1.; 1. |] (system 1.)));
+  Alcotest.(check bool) "row ops after Simplex.maximize" true
+    (value row_ops > r1)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_simplex_matches_brute_force;
@@ -677,6 +703,8 @@ let suites =
           test_solver_stress_basis_carry;
         Alcotest.test_case "warm reoptimize_into allocates zero words" `Quick
           test_reoptimize_into_zero_alloc;
+        Alcotest.test_case "kernel work published by every entry point"
+          `Quick test_kernel_counts_flushed;
       ] );
     ("linprog.properties", qcheck_cases);
   ]

@@ -447,6 +447,31 @@ let test_resource_account_counters () =
   Alcotest.(check bool) "gc.alloc_bytes accumulated" true
     (Telemetry.Metrics.value bytes > b0)
 
+(* The marks behind [linprog.alloc_bytes]: a minor collection between
+   them costs nothing (through [Gc.allocated_bytes] it read 7/8 of the
+   minor heap, about 1.8 MB), while allocation between them counts one
+   per minor word and 8 per word allocated on the major heap. *)
+let test_alloc_marks_collection_proof () =
+  churn ();
+  let b0 = Telemetry.Resource.alloc_mark_begin () in
+  Gc.minor ();
+  let across_gc = Telemetry.Resource.alloc_mark_end () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor collection read %.0f" across_gc)
+    true (across_gc < 64.);
+  let b0 = Telemetry.Resource.alloc_mark_begin () in
+  ignore (Sys.opaque_identity (Array.make 100 0));
+  let small = Telemetry.Resource.alloc_mark_end () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "101 minor words read %.0f" small)
+    true (small >= 101. && small < 101. +. 64.);
+  let b0 = Telemetry.Resource.alloc_mark_begin () in
+  ignore (Sys.opaque_identity (Array.make 1000 0));
+  let large = Telemetry.Resource.alloc_mark_end () -. b0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "1001 major words read %.0f" large)
+    true (large >= 8008. && large < 8008. +. 64.)
+
 let test_resource_span_args () =
   Telemetry.Resource.with_enabled true (fun () ->
       Telemetry.Span.start ();
@@ -1277,6 +1302,8 @@ let suites =
           test_resource_account_counters;
         Alcotest.test_case "spans carry GC deltas when enabled" `Quick
           test_resource_span_args;
+        Alcotest.test_case "LP allocation marks ignore collections" `Quick
+          test_alloc_marks_collection_proof;
         Alcotest.test_case "tracking is observation-only (domains 1/4)"
           `Quick test_resource_byte_identity;
       ] );

@@ -282,6 +282,37 @@ let test_cold_solve_zero_alloc () =
     (carried > 0 && n_solves - carried > 0);
   Alcotest.(check (float 0.)) "minor words across the sweep" 0. words
 
+(* Rates and phase durations are non-negative variables. Round-off in
+   the eliminations can leave a basic one a few ulps below zero (HBC's
+   last duration came out -6.8e-17 at the Fig. 4 gains, 10 dB, on a
+   fresh slot, and the packet simulator refused the negative phase);
+   the solver reports such values as 0, never negative, never -0. *)
+let test_solutions_non_negative () =
+  let fading =
+    Channel.Fading.create ~rng_seed:5 ~mean:Channel.Gains.paper_fig4 ()
+  in
+  let scenarios =
+    Bidir.Gaussian.scenario ~power_db:10. ~gains:Channel.Gains.paper_fig4
+    :: List.init 300 (fun i ->
+           Bidir.Gaussian.scenario_lin
+             ~power:(Numerics.Float_utils.db_to_lin (float_of_int (i mod 7) *. 5.))
+             ~gains:(Channel.Fading.draw fading))
+  in
+  List.iter
+    (fun (p, kind) ->
+      let t = Bidir.Rate_region.sum_rate_template p kind in
+      List.iter
+        (fun s ->
+          let x = Bidir.Rate_region.solve_template t (Bidir.Gaussian.mi s) in
+          Array.iteri
+            (fun j v ->
+              if not (v >= 0. && not (Float.sign_bit v)) then
+                Alcotest.failf "%s at P = %g: x.(%d) = %h" (system_name (p, kind))
+                  s.Bidir.Gaussian.power j v)
+            x)
+        scenarios)
+    systems
+
 (* ------------------------------------------------------------------ *)
 (* Invalid powers                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -308,8 +339,51 @@ let test_invalid_power_rejected () =
     [ { Bidir.Gaussian.power = nan; gains };
       Bidir.Gaussian.scenario_lin ~power:infinity ~gains;
     ];
+  List.iter
+    (fun s ->
+      List.iter
+        (fun kind ->
+          match Bidir.Optimize.all_sum_rates kind s with
+          | _ ->
+            Alcotest.failf "all_sum_rates accepted power %g"
+              s.Bidir.Gaussian.power
+          | exception Invalid_argument _ -> ())
+        [ Bidir.Bound.Inner; Bidir.Bound.Outer ])
+    [ { Bidir.Gaussian.power = nan; gains };
+      { Bidir.Gaussian.power = infinity; gains };
+    ];
   (* rejected before the memo is consulted, so nothing is stored *)
   Alcotest.(check int) "memo probes" before (probes ())
+
+(* [all_sum_rates] computes the scenario's mutual informations once for
+   every protocol; its answers are still [sum_rate]'s, bit for bit. *)
+let prop_all_sum_rates_match_sum_rate =
+  QCheck.Test.make ~count:50 ~name:"all_sum_rates = sum_rate per protocol"
+    QCheck.(
+      quad (float_range (-10.) 25.) (float_range 0.01 4.) (float_range 0.01 4.)
+        (float_range 0.01 4.))
+    (fun (power_db, g_ab, g_ar, g_br) ->
+      let s =
+        Bidir.Gaussian.scenario ~power_db
+          ~gains:(Channel.Gains.make ~g_ab ~g_ar ~g_br)
+      in
+      let bits (r : Bidir.Optimize.sum_rate_result) =
+        List.map Int64.bits_of_float
+          (r.sum_rate :: r.ra :: r.rb :: Array.to_list r.deltas)
+      in
+      List.for_all
+        (fun kind ->
+          (* both cold, so neither answer is the other's memo entry *)
+          Engine.Memo.clear_all ();
+          let all = Bidir.Optimize.all_sum_rates kind s in
+          Engine.Memo.clear_all ();
+          let each =
+            List.map (fun p -> Bidir.Optimize.sum_rate p kind s) Bidir.Protocol.all
+          in
+          List.map (fun (r : Bidir.Optimize.sum_rate_result) -> r.protocol) all
+          = Bidir.Protocol.all
+          && List.map bits all = List.map bits each)
+        [ Bidir.Bound.Inner; Bidir.Bound.Outer ])
 
 let suites =
   [ ( "templates",
@@ -317,8 +391,11 @@ let suites =
           `Quick test_cold_solve_zero_alloc;
         Alcotest.test_case "NaN and infinite power rejected" `Quick
           test_invalid_power_rejected;
+        Alcotest.test_case "solutions are non-negative" `Quick
+          test_solutions_non_negative;
         QCheck_alcotest.to_alcotest prop_template_matches_oracle;
         QCheck_alcotest.to_alcotest prop_max_weighted_matches_oracle;
         QCheck_alcotest.to_alcotest prop_template_reads_bound_fields;
+        QCheck_alcotest.to_alcotest prop_all_sum_rates_match_sum_rate;
       ] );
   ]
