@@ -21,10 +21,25 @@ let sample_sum_rate template m =
   let x = Rate_region.solve_template template m in
   x.(0) +. x.(1)
 
-let ergodic_sum_rate ?blocks fading ~power protocol =
+(* Template solves are not timed one by one; one span covers the
+   [lps] samples of one estimate (a table cell), its args built only
+   while tracing is on. *)
+let cell_span protocol ~power ~lps f =
+  let args =
+    if Telemetry.Span.enabled () then
+      [ ("protocol", Telemetry.Json.String (Protocol.name protocol));
+        ("power", Telemetry.Json.Float power);
+        ("lps", Telemetry.Json.Int lps);
+      ]
+    else []
+  in
+  Telemetry.Span.with_span ~cat:"ergodic" "ergodic.cell" ~args f
+
+let ergodic_sum_rate ?(blocks = 2000) fading ~power protocol =
   let t = Rate_region.sum_rate_template protocol Bound.Inner in
+  cell_span protocol ~power ~lps:blocks @@ fun () ->
   estimate_of_samples
-    (sample_blocks ?blocks fading (fun gains ->
+    (sample_blocks ~blocks fading (fun gains ->
          sample_sum_rate t (draw_mi ~power gains)))
 
 let outage_probability ?blocks fading ~power protocol ~ra ~rb =
@@ -76,7 +91,10 @@ let ergodic_table ?(blocks = 1000) ?(powers_db = [ 0.; 5.; 10. ])
         List.map
           (fun protocol ->
             let t = Rate_region.sum_rate_template protocol Bound.Inner in
-            let e = estimate_of_samples (Array.map (sample_sum_rate t) mis) in
+            let e =
+              cell_span protocol ~power ~lps:blocks @@ fun () ->
+              estimate_of_samples (Array.map (sample_sum_rate t) mis)
+            in
             let lo, hi = e.ci95 in
             [ Printf.sprintf "%g" power_db;
               Protocol.name protocol;

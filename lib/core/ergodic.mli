@@ -27,7 +27,9 @@ val ergodic_sum_rate :
     Each draw is one sum-rate LP solved from its compiled template
     ({!Rate_region.solve_template}); samples are not memoized, and each
     equals [(Optimize.sum_rate p Bound.Inner s).sum_rate] at the draw's
-    scenario [s] bit for bit. *)
+    scenario [s] bit for bit. The samples are not timed one by one: one
+    [ergodic.cell] span (arguments [protocol], [power], [lps]) covers
+    the estimate. *)
 
 val outage_probability :
   ?blocks:int -> Channel.Fading.t -> power:float -> Protocol.t ->
@@ -57,4 +59,5 @@ val ergodic_table :
 (** Extension artifact: ergodic sum rates of all the protocols under
     Rayleigh fading with the Fig. 4 mean gains. Every cell averages the
     same [blocks] draws of one process seeded with [seed], exactly as
-    if each had its own fresh process. *)
+    if each had its own fresh process. Each cell records one
+    [ergodic.cell] span, like {!ergodic_sum_rate}. *)

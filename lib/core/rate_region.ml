@@ -192,12 +192,14 @@ let clear_cache () =
   Engine.Memo.clear polygon_cache;
   bump_solver_epoch ()
 
-(* Latency of every LP actually solved (weighted optima, template
-   solves and feasibility probes alike); memo hits never reach this. *)
+(* Latency of every weighted optimum and feasibility probe actually
+   solved; memo hits never reach this. Template solves are not timed
+   one by one: a span and two clock reads cost about a tenth of one,
+   and their callers time them in bulk (the [optimize.sum_rate] span of
+   a memo miss, the [ergodic.cell] span of a Monte-Carlo estimate). *)
 let lp_seconds = Telemetry.Metrics.histogram "lp.solve_seconds"
 
 let timed_lp span f =
-  Engine.Stats.record_lp_solve ();
   Telemetry.Span.with_span ~cat:"lp" span (fun () ->
       Telemetry.Metrics.time lp_seconds f)
 
@@ -378,8 +380,9 @@ let patch_cells t p vals =
   done
 
 (* The whole cold solve on a loaded slot allocates nothing: the patch
-   writes go to this domain's buffers, the load is a blit plus the
-   kernel-side carry, and [reoptimize_into] lands in the slot's [x]. *)
+   writes go to this domain's buffers, the load is the kernel-side
+   carry over the solver's own scratch, and [reoptimize_into] lands in
+   the slot's [x]. *)
 let solve_template_into t m =
   let sc = Domain.DLS.get template_scratch in
   let vals = sc.vals in
@@ -416,8 +419,7 @@ let solve_template_into t m =
   | Linprog.Solver.Infeasible ->
     failwith "Rate_region.solve_template: infeasible bound system"
 
-let solve_template t m =
-  timed_lp "lp.solve" @@ fun () -> Array.sub (solve_template_into t m) 0 t.nvars
+let solve_template t m = Array.sub (solve_template_into t m) 0 t.nvars
 
 let max_ra_keyed ~key b = max_weighted_keyed ~key b ~wa:1. ~wb:lex_eps
 let max_rb_keyed ~key b = max_weighted_keyed ~key b ~wa:lex_eps ~wb:1.

@@ -86,12 +86,13 @@ val solve_template : template -> Templates.mi -> float array
 (** [[ra; rb; d_1; ...; d_L]]: the lexicographic sum-rate optimum
     ({!max_sum_rate}'s objective) of [Templates.bounds protocol kind m],
     solved without building the bound. [m] must pass
-    {!Templates.validate}; this does not check it. Records one LP solve
-    (span [lp.solve], histogram [lp.solve_seconds]) and stores nothing
+    {!Templates.validate}; this does not check it. Records the LP in
+    the [linprog.*] counters only (no span, no [lp.solve_seconds]
+    sample: callers time template solves in bulk) and stores nothing
     in this module's memo tables. *)
 
 val solve_template_into : template -> Templates.mi -> float array
-(** {!solve_template} without telemetry or a result copy: returns this
+(** {!solve_template} without a result copy: returns this
     domain's slot buffer — [ra; rb; d_1; ...; d_L] then the objective —
     which the next LP solve on the domain overwrites. Allocates nothing
     once the domain holds a slot of this shape and has solved this

@@ -26,14 +26,15 @@ type snapshot = {
   summaries : histogram_line list;
 }
 
-let lp_solves = Telemetry.Metrics.counter "engine.lp_solves"
 let cache_hits = Telemetry.Metrics.counter "engine.cache_hits"
 let cache_misses = Telemetry.Metrics.counter "engine.cache_misses"
 let pool_tasks = Telemetry.Metrics.counter "engine.pool_tasks"
 
 (* Owned and written by the LP layer ([Linprog.Simplex] /
    [Linprog.Solver]); the registry hands back the same handles, so the
-   snapshot can surface the pivot budget without a dependency edge. *)
+   snapshot can surface the solve count and pivot budget without a
+   dependency edge. *)
+let lp_solves = Telemetry.Metrics.counter "linprog.solves"
 let lp_pivots = Telemetry.Metrics.counter "linprog.pivots"
 let lp_warm_solves = Telemetry.Metrics.counter "linprog.warm_solves"
 let lp_phase1_skipped = Telemetry.Metrics.counter "linprog.phase1_skipped"
@@ -44,7 +45,6 @@ let gc_minor_words = Telemetry.Metrics.counter "gc.minor_words"
 let gc_major_collections = Telemetry.Metrics.counter "gc.major_collections"
 let lp_alloc_bytes = Telemetry.Metrics.counter "linprog.alloc_bytes"
 
-let record_lp_solve () = Telemetry.Metrics.incr lp_solves
 let record_hit () = Telemetry.Metrics.incr cache_hits
 let record_miss () = Telemetry.Metrics.incr cache_misses
 let record_pool_tasks n = Telemetry.Metrics.add pool_tasks n

@@ -4,7 +4,8 @@
     from any domain.
 
     Since the telemetry subsystem landed this module is a view over
-    {!Telemetry.Metrics}: the counters are registered under [engine.*],
+    {!Telemetry.Metrics}: the counters are registered under [engine.*]
+    (the LP figures are read from the LP layer's own [linprog.*]),
     phase timers are histograms under [phase.<label>] (so [--metrics]
     exports them with percentiles), and {!reset} resets the whole
     registry. The snapshot/[to_string] surface and output format are
@@ -21,7 +22,9 @@ type histogram_line = {
     [--metrics]. *)
 
 type snapshot = {
-  lp_solves : int;       (** simplex invocations actually performed *)
+  lp_solves : int;
+      (** LPs solved, by either engine ([linprog.solves]; feasibility
+          probes included) *)
   lp_pivots : int;       (** simplex pivot iterations across all solves *)
   lp_warm_solves : int;
       (** solves the warm-start engine answered from a previous basis *)
@@ -44,7 +47,6 @@ type snapshot = {
           they have samples *)
 }
 
-val record_lp_solve : unit -> unit
 val record_hit : unit -> unit
 val record_miss : unit -> unit
 val record_pool_tasks : int -> unit

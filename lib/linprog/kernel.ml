@@ -277,34 +277,115 @@ let solution_into t ~nvars ~x =
    module is an out-of-line call returning a boxed float, which would
    put heap blocks on the path of every template load. *)
 
-(* Pivot elements this small are treated as singular when
-   refactorising a carried basis. *)
+(* ------------------------------------------------------------------ *)
+(* Basis factor: a carried basis checked without a tableau             *)
+(* ------------------------------------------------------------------ *)
+
+(* Most carried bases are optimal for the next system, so its tableau
+   is never needed. [factor_basis] runs Gauss-Jordan with full pivoting
+   — the choices, tie rules and operation order of a refactorisation
+   in the tableau — on the m x (m + 1) matrix [B | b] alone: the
+   carried columns and the right-hand side of the image. Elimination
+   treats columns independently, so every value it computes (the pivot
+   choices, the singularity test, x_B) is bit for bit what the tableau
+   would hold: the LP history does not depend on whether a tableau was
+   built. The order is not free: partial pivoting costs less but moves
+   the last bits of x_B, and root finders downstream then take other
+   steps. It records each step's pivot row, pivot value and non-zero
+   row multipliers, which serve twice:
+   - [factored_optimal] applies the steps' transposes to c_B for the
+     duals y = B^-T c_B and prices the image's columns against them;
+   - [replay] re-runs the recorded pivots on a fresh blit of the image,
+     when a pivot is needed after all.
+
+   Scratch is owned by the factor, not the kernel: [Simplex] builds a
+   kernel per solve and never factors. *)
+
+type factor = {
+  mutable fm : int;              (* basis order of the last factorisation *)
+  mutable w : floatarray;        (* [B | b], m x (m + 1), eliminated;
+                                    column c holds tableau column
+                                    [pcol.(c)] *)
+  mutable tval : floatarray;     (* the non-zero row multipliers of each
+                                    step, step by step ... *)
+  mutable trow : int array;      (* ... the rows they apply to ... *)
+  mutable tend : int array;      (* ... and where each step's end *)
+  mutable pval : floatarray;     (* each step's pivot value *)
+  mutable prow : int array;      (* each step's pivot row *)
+  mutable pcol : int array;      (* each step's pivot column (tableau) *)
+  mutable row_done : bool array;
+  mutable y : floatarray;        (* duals, by image row *)
+}
+
+let create_factor () =
+  let none = Float.Array.create 0 in
+  { fm = 0;
+    w = none;
+    tval = none;
+    trow = [||];
+    tend = [||];
+    pval = none;
+    prow = [||];
+    pcol = [||];
+    row_done = [||];
+    y = none;
+  }
+
+(* Grow-never-shrink, like [resize]: a factorisation of the order of
+   the last one allocates nothing. *)
+let reserve f m =
+  if m > Array.length f.prow then begin
+    f.w <- Float.Array.make (m * (m + 1)) 0.;
+    f.tval <- Float.Array.make (m * m) 0.;
+    f.trow <- Array.make (m * m) 0;
+    f.tend <- Array.make m 0;
+    f.pval <- Float.Array.make m 0.;
+    f.prow <- Array.make m 0;
+    f.pcol <- Array.make m 0;
+    f.row_done <- Array.make m false;
+    f.y <- Float.Array.make m 0.
+  end;
+  f.fm <- m
+
+(* Pivot elements this small are treated as singular when factoring a
+   carried basis. *)
 let singular_tol = 1e-7
 
-(* Refactorise a carried basis against freshly loaded rows: classic
-   Gauss-Jordan with full pivoting restricted to the carried columns
-   [carried.(0 .. nrows-1)] (permuted in place as they are consumed).
-   Row eliminations here are basis factorisation, not simplex
-   iterations — they count into [linprog.refactor_eliminations] (one
-   add per call, at the end), never [linprog.pivots]. Returns false on
-   a (near-)singular basis. *)
-let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
+(* Below this a factored right-hand side is infeasible rather than
+   merely degenerate noise. *)
+let rhs_tol = 1e-10
 
-let refactor t ~carried ~row_done =
-  let m = t.nrows and a = t.a and stride = stride t in
-  Array.fill row_done 0 m false;
-  let ok = ref true and step = ref 0 in
-  while !ok && !step < m do
-    (* unconsumed rows: [row_done] is false; unconsumed carried
-       columns: slots [step .. m-1] of [carried] *)
+(* Factor the kernel's basis, carried from the last system, against the
+   image [cells] (laid out with this kernel's geometry) by Gauss-Jordan
+   with full pivoting over the basic columns, taken in row order. The
+   basis is rewritten to name, per row, the column a step made basic
+   there; the tableau's cells are not touched. True when B is
+   non-singular and x_B >= -[rhs_tol]. *)
+let factor_basis t f ~cells =
+  let m = t.nrows and stride = stride t and rhs_col = t.ncols in
+  reserve f m;
+  let w = f.w and ws = m + 1 and pcol = f.pcol in
+  Array.blit t.basis 0 pcol 0 m;
+  for i = 0 to m - 1 do
+    let off = i * stride and woff = i * ws in
+    for c = 0 to m - 1 do
+      Float.Array.unsafe_set w (woff + c)
+        (Float.Array.unsafe_get cells (off + Array.unsafe_get pcol c))
+    done;
+    Float.Array.unsafe_set w (woff + m) (Float.Array.unsafe_get cells (off + rhs_col));
+    Array.unsafe_set f.row_done i false
+  done;
+  let ok = ref true and s = ref 0 and nt = ref 0 in
+  while !ok && !s < m do
+    let step = !s in
+    (* unconsumed rows: [row_done] is false; unconsumed columns: those
+       at [step .. m-1], in the order the swaps below leave them *)
     let best = ref singular_tol and br = ref (-1) and bc = ref (-1) in
     for i = 0 to m - 1 do
-      if not (Array.unsafe_get row_done i) then begin
-        let off = i * stride in
-        for c = !step to m - 1 do
-          let v =
-            abs_float (Float.Array.unsafe_get a (off + Array.unsafe_get carried c))
-          in
+      if not (Array.unsafe_get f.row_done i) then begin
+        let woff = i * ws in
+        for c = step to m - 1 do
+          let v = abs_float (Float.Array.unsafe_get w (woff + c)) in
           if v > !best then begin
             best := v;
             br := i;
@@ -315,30 +396,139 @@ let refactor t ~carried ~row_done =
     done;
     if !br < 0 then ok := false
     else begin
-      let col = Array.unsafe_get carried !bc in
-      eliminate t ~row:!br ~col;
-      Array.unsafe_set row_done !br true;
-      Array.unsafe_set carried !bc (Array.unsafe_get carried !step);
-      Array.unsafe_set carried !step col;
-      incr step
+      let row = !br and bc = !bc in
+      if bc <> step then begin
+        for i = 0 to m - 1 do
+          let off = i * ws in
+          let v = Float.Array.unsafe_get w (off + bc) in
+          Float.Array.unsafe_set w (off + bc) (Float.Array.unsafe_get w (off + step));
+          Float.Array.unsafe_set w (off + step) v
+        done;
+        let col = Array.unsafe_get pcol bc in
+        Array.unsafe_set pcol bc (Array.unsafe_get pcol step);
+        Array.unsafe_set pcol step col
+      end;
+      (* [eliminate]'s arithmetic on the unconsumed columns and b: the
+         consumed ones are unit columns, zero in every row this step
+         changes, so they would not move *)
+      let roff = row * ws in
+      let p = Float.Array.unsafe_get w (roff + step) in
+      for j = step to m do
+        Float.Array.unsafe_set w (roff + j) (Float.Array.unsafe_get w (roff + j) /. p)
+      done;
+      for i = 0 to m - 1 do
+        let off = i * ws in
+        let factor = Float.Array.unsafe_get w (off + step) in
+        if factor <> 0. && i <> row then begin
+          Array.unsafe_set f.trow !nt i;
+          Float.Array.unsafe_set f.tval !nt factor;
+          incr nt;
+          for j = step to m do
+            Float.Array.unsafe_set w (off + j)
+              (Float.Array.unsafe_get w (off + j)
+              -. (factor *. Float.Array.unsafe_get w (roff + j)))
+          done
+        end
+      done;
+      Array.unsafe_set f.tend step !nt;
+      Float.Array.unsafe_set f.pval step p;
+      Array.unsafe_set f.prow step row;
+      Array.unsafe_set t.basis row (Array.unsafe_get pcol step);
+      Array.unsafe_set f.row_done row true;
+      incr s
     end
   done;
-  Telemetry.Metrics.add refactor_counter !step;
-  !ok
-
-(* Below this a refactorised right-hand side is infeasible rather than
-   merely degenerate noise. *)
-let rhs_tol = 1e-10
-
-let rhs_feasible t =
-  let a = t.a and stride = stride t and rhs_col = t.ncols in
-  let ok = ref true and i = ref 0 in
-  while !ok && !i < t.nrows do
-    if Float.Array.unsafe_get a ((!i * stride) + rhs_col) < -.rhs_tol then
-      ok := false;
+  let i = ref 0 in
+  while !ok && !i < m do
+    if Float.Array.unsafe_get w ((!i * ws) + m) < -.rhs_tol then ok := false;
     incr i
   done;
   !ok
+
+(* Whether the factored basis is optimal for the loaded cost: no column
+   below [below] (the columns allowed to enter) prices above [eps].
+   The duals come from c_B run back through the recorded steps:
+   y^T = c_B^T E_m ... E_1, where step s scaled its pivot row r by 1/p
+   and then subtracted f_i times row r from each row i, so y_r becomes
+   (y_r - sum_i y_i f_i) / p. Basic columns price to zero and are
+   skipped. *)
+let factored_optimal t f ~cells ~below =
+  let m = f.fm and y = f.y and cost = t.cost in
+  for i = 0 to m - 1 do
+    Float.Array.unsafe_set y i (Float.Array.unsafe_get cost (Array.unsafe_get t.basis i))
+  done;
+  for s = m - 1 downto 0 do
+    let r = Array.unsafe_get f.prow s in
+    let acc = ref (Float.Array.unsafe_get y r) in
+    for e = (if s = 0 then 0 else Array.unsafe_get f.tend (s - 1))
+        to Array.unsafe_get f.tend s - 1 do
+      acc :=
+        !acc
+        -. (Float.Array.unsafe_get y (Array.unsafe_get f.trow e)
+           *. Float.Array.unsafe_get f.tval e)
+    done;
+    Float.Array.unsafe_set y r (!acc /. Float.Array.unsafe_get f.pval s)
+  done;
+  let red = t.reduced and stride = stride t in
+  for j = 0 to below - 1 do
+    Float.Array.unsafe_set red j (Float.Array.unsafe_get cost j)
+  done;
+  for i = 0 to m - 1 do
+    let yi = Float.Array.unsafe_get y i in
+    if yi <> 0. then begin
+      let off = i * stride in
+      for j = 0 to below - 1 do
+        Float.Array.unsafe_set red j
+          (Float.Array.unsafe_get red j
+          -. (yi *. Float.Array.unsafe_get cells (off + j)))
+      done
+    end
+  done;
+  for i = 0 to m - 1 do
+    let b = Array.unsafe_get t.basis i in
+    if b < below then Float.Array.unsafe_set red b 0.
+  done;
+  let optimal = ref true and j = ref 0 in
+  while !optimal && !j < below do
+    if Float.Array.unsafe_get red !j > eps then optimal := false;
+    incr j
+  done;
+  !optimal
+
+(* [solution_into] and [objective_into] for the factored basis: the
+   right-hand side column of [B | b] is the tableau's, bit for bit. *)
+let factored_solution_into t f ~nvars ~x =
+  Array.fill x 0 nvars 0.;
+  let w = f.w and ws = f.fm + 1 in
+  for i = 0 to f.fm - 1 do
+    let b = Array.unsafe_get t.basis i in
+    if b < nvars then begin
+      let v = Float.Array.unsafe_get w ((i * ws) + f.fm) in
+      Array.unsafe_set x b (if v <= 0. && v >= -.eps then 0. else v)
+    end
+  done
+
+let factored_objective_into t f dst at =
+  let w = f.w and ws = f.fm + 1 and cost = t.cost in
+  let acc = ref 0. in
+  for i = 0 to f.fm - 1 do
+    let cb = Float.Array.unsafe_get cost (Array.unsafe_get t.basis i) in
+    if cb <> 0. then acc := !acc +. (cb *. Float.Array.unsafe_get w ((i * ws) + f.fm))
+  done;
+  Array.unsafe_set dst at !acc
+
+(* Basis factorisation steps performed in the tableau, not simplex
+   iterations: they count into [linprog.refactor_eliminations] (one add
+   per call), never [linprog.pivots]. *)
+let refactor_counter = Telemetry.Metrics.counter "linprog.refactor_eliminations"
+
+(* Re-run the factor's pivots on a freshly loaded tableau of the same
+   image, making the factored basis the tableau's. *)
+let replay t f =
+  for s = 0 to f.fm - 1 do
+    eliminate t ~row:(Array.unsafe_get f.prow s) ~col:(Array.unsafe_get f.pcol s)
+  done;
+  Telemetry.Metrics.add refactor_counter f.fm
 
 (* Phase 1 ended with artificial mass left over. *)
 let phase1_infeasible t = objective_value t < -.eps

@@ -111,19 +111,46 @@ val solution_into : t -> nvars:int -> x:float array -> unit
     round-off on a non-negative variable and is reported as [0.], so
     neither a negative zero nor a tiny negative value is returned. *)
 
-val refactor : t -> carried:int array -> row_done:bool array -> bool
-(** Refactorise the basis [carried.(0 .. nrows-1)] against the loaded
-    rows by Gauss-Jordan with full pivoting over those columns, making
-    them basic ([carried] is permuted, [row_done] is scratch of at least
-    [nrows] slots). Its eliminations are added to
-    [linprog.refactor_eliminations] with one add before it returns
-    (their element updates go to the pending {!flush_counts} count).
-    False when the basis is (near-)singular; the tableau is then partly
-    eliminated and must be reloaded. *)
+type factor
+(** Scratch for a factored carried basis: the eliminated [B | b] of
+    the basis and the pivot steps that eliminated it. Owned by one
+    solver (never by a throwaway [Simplex] kernel), grown on demand and
+    reused, so a factorisation of the previous one's order allocates
+    nothing. *)
 
-val rhs_feasible : t -> bool
-(** No right-hand side is below -1e-10: the current basic solution is
-    feasible. *)
+val create_factor : unit -> factor
+
+val factor_basis : t -> factor -> cells:floatarray -> bool
+(** [factor_basis t f ~cells] factors [t]'s current basis (the columns
+    basic in rows [0 .. nrows-1], in row order) against the image
+    [cells] (row-major with [t]'s geometry, right-hand side last) by
+    Gauss-Jordan with full pivoting over those columns: the choices and
+    arithmetic of a refactorisation in the tableau, on the m x (m + 1)
+    matrix [B | b] alone, so the factored right-hand side is bit for
+    bit the tableau's. [t]'s basis is rewritten to the column each step
+    made basic in each row; its cells are not read or written. True
+    when B is non-singular (no pivot below 1e-7) and x_B has no entry
+    below -1e-10; otherwise the basis is partly rewritten and the
+    caller reloads. *)
+
+val factored_optimal : t -> factor -> cells:floatarray -> below:int -> bool
+(** Whether the factored basis is optimal for the loaded cost: with
+    y = B^-T c_B, no non-basic column [j < below] has
+    [c_j - y . A_j > eps]. Uses the reduced-cost scratch. *)
+
+val factored_solution_into : t -> factor -> nvars:int -> x:float array -> unit
+(** {!solution_into} for the factored basis (same round-off policy). *)
+
+val factored_objective_into : t -> factor -> float array -> int -> unit
+(** {!objective_into} for the factored basis: c_B . x_B in row order,
+    bit for bit what the tableau would give. *)
+
+val replay : t -> factor -> unit
+(** Re-run the factor's pivot steps on the freshly loaded tableau of
+    the image it factored, building the tableau a refactorisation in
+    place would have built. Adds the steps to
+    [linprog.refactor_eliminations] (their element updates go to the
+    pending {!flush_counts} count). *)
 
 val phase1_infeasible : t -> bool
 (** The current objective is below [-eps] (after phase 1: the system

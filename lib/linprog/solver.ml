@@ -9,8 +9,9 @@
    invariant under objective changes, so phase 1 never re-runs on a
    pure objective sweep. [rebuild] swaps in a new constraint system in
    place; when the new system has the same structural shape the old
-   optimal basis is refactorised against the fresh coefficients and, if
-   it verifies feasible, phase 1 is skipped there too. Both go through
+   optimal basis is factorised against the fresh coefficients and, if
+   it verifies feasible, phase 1 is skipped there too (and the tableau
+   is built only if a solve needs to pivot). Both go through
    an [image] — the loaded tableau of a system, before any pivot — so a
    caller that solves many systems of one fixed structure can build
    the image once, patch its coefficient cells and [load] it: one blit
@@ -42,11 +43,16 @@ let pivots_counter = Telemetry.Metrics.counter "linprog.pivots"
 
 (* Warm-start telemetry: solves that started from a previously optimal
    basis and solves where that let us skip phase 1 entirely. The row
-   eliminations spent refactorising carried bases (basis factorisation
-   work, not simplex iterations) are counted by the kernel into
-   [linprog.refactor_eliminations], so the pivot totals stay honest. *)
+   eliminations spent rebuilding carried bases in the tableau (basis
+   factorisation work, not simplex iterations) are counted by the
+   kernel into [linprog.refactor_eliminations], so the pivot totals
+   stay honest. *)
 let warm_solves_counter = Telemetry.Metrics.counter "linprog.warm_solves"
 let phase1_skipped_counter = Telemetry.Metrics.counter "linprog.phase1_skipped"
+
+(* Solves that ended on a factored carried basis, with no tableau built
+   for the loaded system (see [load_impl]). *)
+let factored_solves_counter = Telemetry.Metrics.counter "linprog.factored_solves"
 
 (* Allocation inside LP entry points while Telemetry.Resource is
    enabled, between [Resource.alloc_mark_begin]/[_end] marks;
@@ -82,12 +88,13 @@ type t = {
   mutable m : int;                 (* constraint rows as loaded *)
   mutable first_artificial : int;
   mutable shape : int array;       (* the loaded image's relation tags *)
+  mutable im : image;              (* the loaded image *)
   (* the flat tableau + all pricing scratch (grown on demand) *)
   k : Kernel.t;
-  mutable saved_basis : int array; (* scratch for basis carry *)
-  mutable row_done : bool array;   (* scratch for refactorisation *)
+  f : Kernel.factor;               (* the carried basis, factored *)
   (* solve-to-solve state *)
   mutable status : status;
+  mutable factored : bool;         (* basis in [f]; the tableau is stale *)
   mutable pending_pivots : int;    (* pivots since the last recorded solve *)
   mutable recorded_pivots : int;   (* pivots of every solve recorded so far *)
   mutable warm_next : bool;        (* next solve starts from a prior basis *)
@@ -263,10 +270,11 @@ let of_image_impl im =
       m;
       first_artificial = im.im_first_artificial;
       shape = im.im_shape;
+      im;
       k = Kernel.create ~nrows:m ~ncols:im.im_ncols;
-      saved_basis = Array.make m 0;
-      row_done = Array.make m false;
+      f = Kernel.create_factor ();
       status = Sat;
+      factored = false;
       pending_pivots = 0;
       recorded_pivots = 0;
       warm_next = false;
@@ -288,8 +296,11 @@ let same_shape a b =
   !same
 
 (* Allocation-free when [im] has the loaded system's row count: the
-   geometry check, the carry, the refactorisation and the feasibility
-   test all run over preallocated scratch. *)
+   geometry check, the carry, the factorisation and the feasibility
+   test all run over preallocated scratch. A carried basis that is
+   feasible for the new image leaves the solver [factored]: the basis
+   lives in [t.f], and the tableau still holds the previous system
+   until a solve needs a pivot ([materialise]). *)
 let load_impl t im =
   if im.im_nvars <> t.nvars then
     invalid_arg "Linprog.Solver.load: image arity mismatch";
@@ -305,38 +316,33 @@ let load_impl t im =
     && im.im_ncols = Kernel.ncols t.k
     && same_shape im.im_shape t.shape
   in
-  if carry then
-    for i = 0 to m - 1 do
-      Array.unsafe_set t.saved_basis i (Kernel.basis t.k i)
-    done;
-  if m <> t.m then begin
-    t.saved_basis <- Array.make m 0;
-    t.row_done <- Array.make m false
-  end;
   t.m <- m;
   t.first_artificial <- im.im_first_artificial;
   t.shape <- im.im_shape;
-  fill t im;
-  let carried =
-    carry
-    && Kernel.refactor t.k ~carried:t.saved_basis ~row_done:t.row_done
-    && Kernel.rhs_feasible t.k
-  in
-  if carried then begin
+  t.im <- im;
+  t.factored <- carry && Kernel.factor_basis t.k t.f ~cells:im.im_cells;
+  if t.factored then begin
     (* the carried basis is feasible for the new system: phase 1 is
-       unnecessary, artificials stay barred *)
-    Kernel.bar_from t.k t.first_artificial;
+       unnecessary *)
     t.status <- Sat;
     t.warm_next <- true;
     t.skip1_next <- true
   end
   else begin
-    if carry then fill t im (* refactorisation clobbered the rows *);
+    fill t im;
     phase1 t;
     t.warm_next <- false;
     t.skip1_next <- false
   end;
   Kernel.flush_counts t.k
+
+(* Build the tableau of the loaded image at the factored basis, for a
+   solve that has to pivot. *)
+let materialise t =
+  fill t t.im;
+  Kernel.replay t.k t.f;
+  Kernel.bar_from t.k t.first_artificial;
+  t.factored <- false
 
 (* ------------------------------------------------------------------ *)
 (* Solving                                                             *)
@@ -349,6 +355,7 @@ let record_solve t =
   Telemetry.Metrics.add pivots_counter t.pending_pivots;
   if t.warm_next then Telemetry.Metrics.incr warm_solves_counter;
   if t.skip1_next then Telemetry.Metrics.incr phase1_skipped_counter;
+  if t.factored then Telemetry.Metrics.incr factored_solves_counter;
   Kernel.flush_counts t.k;
   t.recorded_pivots <- t.recorded_pivots + t.pending_pivots;
   t.pending_pivots <- 0;
@@ -371,6 +378,7 @@ let reoptimize_impl t ~c =
     record_solve t;
     Simplex.Infeasible
   | Sat ->
+    if t.factored then materialise t;
     Kernel.load_cost t.k c t.nvars;
     (match run_phase t with
     | `Unbounded ->
@@ -382,6 +390,12 @@ let reoptimize_impl t ~c =
       let objective = clean (Kernel.objective t.k) in
       record_solve t;
       Simplex.Optimal { Simplex.x; objective })
+
+let finish_optimal t ~x =
+  let v = Array.unsafe_get x t.nvars in
+  if v = 0. then Array.unsafe_set x t.nvars 0.;
+  record_solve t;
+  Optimal
 
 (* The zero-allocation warm path: same state machine as [reoptimize],
    but the solution lands in the caller-owned [x] (objective in
@@ -398,17 +412,26 @@ let reoptimize_into_impl t ~c ~x =
     Infeasible
   | Sat ->
     Kernel.load_cost t.k c t.nvars;
-    (match run_phase t with
-    | `Unbounded ->
-      record_solve t;
-      Unbounded
-    | `Optimal ->
-      Kernel.solution_into t.k ~nvars:t.nvars ~x;
-      Kernel.objective_into t.k x t.nvars;
-      let v = Array.unsafe_get x t.nvars in
-      if v = 0. then Array.unsafe_set x t.nvars 0.;
-      record_solve t;
-      Optimal)
+    if
+      t.factored
+      && Kernel.factored_optimal t.k t.f ~cells:t.im.im_cells
+           ~below:t.first_artificial
+    then begin
+      Kernel.factored_solution_into t.k t.f ~nvars:t.nvars ~x;
+      Kernel.factored_objective_into t.k t.f x t.nvars;
+      finish_optimal t ~x
+    end
+    else begin
+      if t.factored then materialise t;
+      match run_phase t with
+      | `Unbounded ->
+        record_solve t;
+        Unbounded
+      | `Optimal ->
+        Kernel.solution_into t.k ~nvars:t.nvars ~x;
+        Kernel.objective_into t.k x t.nvars;
+        finish_optimal t ~x
+    end
 
 (* Allocation-accounting wrapper for the cold entry points: the
    disabled path is the plain call — one atomic load. *)

@@ -35,13 +35,16 @@
     {b Telemetry:} every recorded solve updates [linprog.solves] and
     [linprog.pivots] exactly as the reference does, plus
     [linprog.warm_solves] / [linprog.phase1_skipped] for solves that
-    started from a previously optimal basis. Row eliminations spent
-    refactorising a carried basis are basis factorisation, not simplex
-    iterations; they are kept separate in
-    [linprog.refactor_eliminations]. The kernel's element updates
-    ([linprog.kernel_row_ops]) and refactorisation steps are published
-    once per call: {!of_image}, {!load} (and so {!create} and
-    {!rebuild}) and every solve flush them before returning. *)
+    started from a previously optimal basis, and
+    [linprog.factored_solves] for solves that ended on a carried basis
+    checked from its small factorisation, with no tableau built (see
+    {!load}). Row eliminations spent rebuilding a carried basis in the
+    tableau are basis factorisation, not simplex iterations; they are
+    kept separate in [linprog.refactor_eliminations]. The kernel's
+    element updates ([linprog.kernel_row_ops]) and refactorisation
+    steps are published once per call: {!of_image}, {!load} (and so
+    {!create} and {!rebuild}) and every solve flush them before
+    returning. *)
 
 type t
 
@@ -81,11 +84,16 @@ val of_image : image -> t
 val load : t -> image -> unit
 (** {!rebuild} from an image, with the same basis carry: when the image
     has the loaded system's shape the previous optimal basis is
-    refactorised against its cells and, if feasible, phase 1 is
-    skipped. A load of an image with the loaded system's row count
-    allocates nothing — the cells arrive in one blit. Raises
-    [Invalid_argument] when the image's variable count differs from
-    {!nvars}. *)
+    factorised against its cells (the m x m basis and the right-hand
+    side only, no tableau) and, if feasible, phase 1 is skipped. The
+    next solve answers from that factorisation when the basis is
+    optimal for its objective, and otherwise builds the tableau and
+    pivots from it, so both take the pivots a tableau refactorisation
+    would. A basis that is singular or infeasible for the image is
+    dropped: the image is blitted in and phase 1 runs. A load of an
+    image with the loaded system's row count allocates nothing.
+    Raises [Invalid_argument] when the image's variable count differs
+    from {!nvars}. *)
 
 val nvars : t -> int
 
@@ -123,7 +131,7 @@ val rebuild : t -> constrs:Simplex.constr list -> unit
 (** Replace the loaded constraint system in place ([nvars] is fixed at
     {!create}). When the new system has the same structural shape (row
     count and per-row relations after sign normalisation), the previous
-    optimal basis is refactorised against the new coefficients and, if
+    optimal basis is factorised against the new coefficients and, if
     it verifies feasible, phase 1 is skipped; otherwise (shape change,
     singular basis, or an infeasible carried basis) the tableau is
     reloaded and phase 1 re-runs from scratch. Equivalent to

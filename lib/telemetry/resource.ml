@@ -1,7 +1,7 @@
 (* GC and allocation accounting. All numbers come from the runtime's
    own monotone counters ([Gc.quick_stat] reads live counters without
-   walking the heap; [Gc.allocated_bytes] is this domain's cumulative
-   allocation), so sampling is cheap enough for per-span use — but it
+   walking the heap; [Gc.minor_words] and [Gc.counters] give this
+   domain's cumulative allocation), so sampling is cheap enough for per-span use — but it
    is still gated behind [enabled] so the default cost of the layer is
    one atomic load at every probe site. *)
 
@@ -33,42 +33,11 @@ let with_enabled b f =
   Atomic.set tracking b;
   Fun.protect ~finally:(fun () -> Atomic.set tracking old) f
 
-let sample () =
-  let q = Gc.quick_stat () in
-  (* [quick_stat]'s minor_words only advances at collection boundaries
-     on OCaml 5; [Gc.minor_words] reads the live allocation pointer, so
-     small allocations are visible without waiting for a minor GC. *)
-  { s_minor_words = Gc.minor_words ();
-    s_major_words = q.Gc.major_words;
-    s_promoted_words = q.Gc.promoted_words;
-    s_minor_collections = q.Gc.minor_collections;
-    s_major_collections = q.Gc.major_collections;
-    s_alloc_bytes = Gc.allocated_bytes ();
-  }
-
-let delta_since s0 =
-  let s1 = sample () in
-  (* the runtime counters are monotone, but clamp anyway so a delta can
-     never go negative (e.g. across a [Gc.counters] reset) *)
-  let dfloat a b = Float.max 0. (b -. a) in
-  { minor_words = dfloat s0.s_minor_words s1.s_minor_words;
-    major_words = dfloat s0.s_major_words s1.s_major_words;
-    promoted_words = dfloat s0.s_promoted_words s1.s_promoted_words;
-    minor_collections = max 0 (s1.s_minor_collections - s0.s_minor_collections);
-    major_collections = max 0 (s1.s_major_collections - s0.s_major_collections);
-    alloc_bytes = dfloat s0.s_alloc_bytes s1.s_alloc_bytes;
-  }
-
-let measure f =
-  let s0 = sample () in
-  let r = f () in
-  (r, delta_since s0)
-
 (* On OCaml 5.1 [Gc.allocated_bytes] reads the minor heap in progress
    at one eighth of its words — between collections its minor part
    counts words, not bytes — and catches up when a minor collection
-   runs. An accounted LP call that a collection happened to land in
-   therefore read about 1.8 MB (7/8 of a 256 k-word minor heap) instead
+   runs. An accounted LP call or span that a collection happened to
+   land in therefore read about 1.8 MB (7/8 of a 256 k-word minor heap) instead
    of a few bytes. A mark takes the minor part from the live
    [Gc.minor_words] instead, on the same one-per-word scale, plus 8 per
    word allocated directly on the major heap (promotion adds equally to
@@ -85,6 +54,43 @@ let alloc_mark_end () =
   let minor = Gc.minor_words () in
   let _, promoted, major = Gc.counters () in
   (8. *. (major -. promoted)) +. minor
+
+(* [quick_stat]'s minor_words only advances at collection boundaries
+   on OCaml 5; [Gc.minor_words] reads the live allocation pointer, so
+   small allocations are visible without waiting for a minor GC. The
+   allocation total is an [alloc_mark]: a sample reads it last and a
+   delta first, so neither counts the other readings. *)
+let sample () =
+  let q = Gc.quick_stat () in
+  let minor_words = Gc.minor_words () in
+  let alloc = alloc_mark_begin () in
+  { s_minor_words = minor_words;
+    s_major_words = q.Gc.major_words;
+    s_promoted_words = q.Gc.promoted_words;
+    s_minor_collections = q.Gc.minor_collections;
+    s_major_collections = q.Gc.major_collections;
+    s_alloc_bytes = alloc;
+  }
+
+let delta_since s0 =
+  let alloc = alloc_mark_end () in
+  let q = Gc.quick_stat () in
+  let minor_words = Gc.minor_words () in
+  (* the runtime counters are monotone, but clamp anyway so a delta can
+     never go negative (e.g. across a [Gc.counters] reset) *)
+  let dfloat a b = Float.max 0. (b -. a) in
+  { minor_words = dfloat s0.s_minor_words minor_words;
+    major_words = dfloat s0.s_major_words q.Gc.major_words;
+    promoted_words = dfloat s0.s_promoted_words q.Gc.promoted_words;
+    minor_collections = max 0 (q.Gc.minor_collections - s0.s_minor_collections);
+    major_collections = max 0 (q.Gc.major_collections - s0.s_major_collections);
+    alloc_bytes = dfloat s0.s_alloc_bytes alloc;
+  }
+
+let measure f =
+  let s0 = sample () in
+  let r = f () in
+  (r, delta_since s0)
 
 (* ------------------------------------------------------------------ *)
 (* Registry aggregation                                                *)

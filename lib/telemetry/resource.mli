@@ -1,7 +1,7 @@
 (** GC and allocation accounting for resource attribution.
 
     Probes read the runtime's own monotone counters ([Gc.quick_stat],
-    [Gc.allocated_bytes]) — no heap walk, so a sample costs tens of
+    [Gc.minor_words], [Gc.counters]) — no heap walk, so a sample costs tens of
     nanoseconds — but all call sites are still gated behind {!enabled}
     so the layer is a single atomic load and branch while it stays off
     (the same contract as {!Span}).
@@ -35,7 +35,10 @@ type delta = {
   promoted_words : float;     (** words promoted minor → major *)
   minor_collections : int;
   major_collections : int;    (** completed major cycles *)
-  alloc_bytes : float;        (** total bytes allocated ([Gc.allocated_bytes] delta) *)
+  alloc_bytes : float;
+      (** allocation on the {!alloc_mark_begin} scale: 1 per minor word,
+          8 per word allocated on the major heap; a collection in
+          between does not move it *)
 }
 
 val delta_since : sample -> delta
@@ -49,7 +52,8 @@ val measure : (unit -> 'a) -> 'a * delta
 
 val alloc_mark_begin : unit -> float
 val alloc_mark_end : unit -> float
-(** Allocation marks for [linprog.alloc_bytes]: [alloc_mark_end () -.
+(** Allocation marks for [linprog.alloc_bytes] and the [alloc_bytes]
+    of a {!delta}: [alloc_mark_end () -.
     b0] with [b0 = alloc_mark_begin ()] is the allocation between the
     two, counting a minor-heap word as 1 and a major-heap word as 8 —
     what [Gc.allocated_bytes] reads on OCaml 5.1 between collections —

@@ -146,8 +146,10 @@ let ignored_histograms =
     "telemetry.stream.flush_seconds" ]
 
 (* Counters whose value depends on wall-clock timing rather than the
-   computation (rate-limiter suppression counts). *)
-let ignored_counters = [ "telemetry.log.suppressed" ]
+   computation (rate-limiter suppression counts), and one retired name:
+   [engine.lp_solves] duplicated [linprog.solves] and is no longer
+   registered, but baselines written before still carry it. *)
+let ignored_counters = [ "telemetry.log.suppressed"; "engine.lp_solves" ]
 
 (* Seconds-valued resource budgets: gated one-sided on their sum, like
    Budget counters, but with slack for scheduler noise. Checked before

@@ -112,6 +112,34 @@ let test_ergodic_table_unmemoized () =
       Alcotest.(check int) name want (Telemetry.Metrics.value (counter name) - b))
     watched before
 
+(* Template samples are timed in bulk: one [ergodic.cell] span per
+   table cell, carrying the cell's LP count, and no per-LP span or
+   [lp.solve_seconds] sample. *)
+let test_ergodic_table_cell_spans () =
+  let h = Telemetry.Metrics.histogram "lp.solve_seconds" in
+  let samples0 = Telemetry.Histogram.count h in
+  Engine.Memo.clear_all ();
+  Telemetry.Span.start ();
+  ignore
+    (Bidir.Ergodic.ergodic_table ~blocks:20 ~powers_db:[ 0.; 10. ] ()
+      : Bidir.Figures.table);
+  Telemetry.Span.stop ();
+  let named n =
+    List.filter (fun e -> e.Telemetry.Span.name = n) (Telemetry.Span.events ())
+  in
+  let cells = named "ergodic.cell" in
+  Alcotest.(check int) "one span per cell" (2 * List.length Bidir.Protocol.all)
+    (List.length cells);
+  List.iter
+    (fun e ->
+      match List.assoc_opt "lps" e.Telemetry.Span.args with
+      | Some (Telemetry.Json.Int n) -> Alcotest.(check int) "lps" 20 n
+      | _ -> Alcotest.fail "ergodic.cell span lacks its lps argument")
+    cells;
+  Alcotest.(check int) "lp.solve spans" 0 (List.length (named "lp.solve"));
+  Alcotest.(check int) "lp.solve_seconds samples" samples0
+    (Telemetry.Histogram.count h)
+
 (* The table as it was computed before its draws were shared and its
    samples left the memo: a fresh fading process per cell, then
    [Optimize.sum_rate] per draw. The rows must match byte for byte. *)
@@ -311,6 +339,8 @@ let suites =
           test_ergodic_table_unmemoized;
         Alcotest.test_case "table = per-cell memoized table" `Quick
           test_ergodic_table_matches_per_cell;
+        Alcotest.test_case "one span per table cell" `Quick
+          test_ergodic_table_cell_spans;
       ] );
     ( "bidir.relay_selection",
       [ Alcotest.test_case "candidates on line" `Quick test_candidates_on_line;

@@ -50,8 +50,9 @@ let test_figures_all_golden () =
   end
 
 (* The LP history of one cold `figures all` pass at one domain: how
-   many LPs were solved, with how many pivots and warm starts, how much
-   kernel work those took, and what the two LP-answer memo tables
+   many LPs were solved, with how many pivots and warm starts, how many
+   ended on a factored carried basis without building a tableau, how
+   much kernel work those took, and what the two LP-answer memo tables
    returned. A cache change that re-solves or skips an LP moves these
    counts even when every output byte stays the same, and a change to
    the basis history moves the row-op and refactorisation counts even
@@ -65,8 +66,9 @@ let lp_history =
   [ ("linprog.solves", 10_271);
     ("linprog.pivots", 11_523);
     ("linprog.warm_solves", 8_399);
-    ("linprog.kernel_row_ops", 2_376_760);
-    ("linprog.refactor_eliminations", 45_060);
+    ("linprog.kernel_row_ops", 781_066);
+    ("linprog.refactor_eliminations", 3_939);
+    ("linprog.factored_solves", 6_536);
     ("engine.cache_hits", 1_413);
     ("engine.cache_misses", 4_299);
     ("memo.optimize.sum_rate.hits", 1_405);

@@ -569,31 +569,48 @@ let prop_reoptimize_into_matches_reoptimize =
           | _ -> false)
         ((c1, c2) :: cs))
 
+(* Minor words allocated by [f ()], net of what the measurement itself
+   costs (boxing the first reading across the call). [Gc.minor_words]
+   reads the live allocation pointer, so one word anywhere counts. *)
+let factored_solves = Telemetry.Metrics.counter "linprog.factored_solves"
+
+let minor_words_of f =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = measure ignore in
+  measure f -. overhead
+
 (* The headline property of the flat kernel: a warm [reoptimize_into]
    allocates zero words — tableau, scratch, pricing, telemetry and the
-   solution hand-off all live in preallocated buffers. The only
-   allowance is the boxing inside [Gc.allocated_bytes] itself (~a
-   dozen bytes for the measurement pair), so the budget is 32 B PER
-   SWEEP, not per solve — a single heap block anywhere on the warm path
-   of any solve of the sweep fails it (the historical nested-array
-   engine allocated ~59 B/solve). *)
-let check_warm_sweep_zero_alloc label ~nvars ~constrs objectives =
+   solution hand-off all live in preallocated buffers. A sweep may
+   start with [load]: a carried [Solver.load] leaves the basis factored,
+   and the sweep's first solve ends on it or builds the tableau. The
+   first pass settles the basis and faults every path in; the second is
+   measured, and must read 0 (the historical nested-array engine
+   allocated ~59 B/solve). Returns the measured pass's factored
+   solves. *)
+let check_warm_sweep_zero_alloc ?(load = fun _ -> ()) label ~nvars ~constrs
+    objectives =
   let n = Array.length objectives in
   let solver = Linprog.Solver.create ~nvars ~constrs in
   let x = Array.make (nvars + 1) 0. in
-  (* warm pass: settle the basis, fault in every code path *)
-  for i = 0 to n - 1 do
-    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
-  done;
-  let b0 = Gc.allocated_bytes () in
-  for i = 0 to n - 1 do
-    ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
-  done;
-  let delta = Gc.allocated_bytes () -. b0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: %.0f bytes allocated across %d warm solves" label
-       delta n)
-    true (delta < 32.)
+  (* a loop, not [Array.iter]: a closure here would be the only heap
+     block of the sweep *)
+  let sweep () =
+    load solver;
+    for i = 0 to n - 1 do
+      ignore (Linprog.Solver.reoptimize_into solver ~c:objectives.(i) ~x)
+    done
+  in
+  sweep ();
+  let f0 = Telemetry.Metrics.value factored_solves in
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "%s: minor words across %d warm solves" label n)
+    0. (minor_words_of sweep);
+  Telemetry.Metrics.value factored_solves - f0
 
 let test_reoptimize_into_zero_alloc () =
   let nvars = 5 and nrows = 7 and n = 64 in
@@ -609,7 +626,7 @@ let test_reoptimize_into_zero_alloc () =
     Array.init n (fun _ ->
         Array.init nvars (fun _ -> Prob.Rng.float_range rng ~lo:0.1 ~hi:1.))
   in
-  check_warm_sweep_zero_alloc "random LP" ~nvars ~constrs objectives;
+  ignore (check_warm_sweep_zero_alloc "random LP" ~nvars ~constrs objectives : int);
   (* the production LP: every protocol's inner bound at the Fig. 4
      scenario, swept over 129 boundary weights (w, 1 - w) *)
   let scenario =
@@ -630,34 +647,204 @@ let test_reoptimize_into_zero_alloc () =
             c.(1) <- 1. -. w;
             c)
       in
-      check_warm_sweep_zero_alloc
-        (Bidir.Protocol.name protocol ^ " inner bound")
-        ~nvars ~constrs objectives)
+      let name = Bidir.Protocol.name protocol ^ " inner bound" in
+      ignore (check_warm_sweep_zero_alloc name ~nvars ~constrs objectives : int);
+      (* from a factored load: the image reloaded before every sweep,
+         whose first objective is the last one of the sweep before, so
+         the carried basis is optimal for it and that solve ends on the
+         factored basis; the next ones build the tableau and pivot *)
+      let image = Linprog.Solver.image ~nvars ~constrs in
+      let from_factored =
+        Array.append [| objectives.(weights - 1) |] objectives
+      in
+      Alcotest.(check int) (name ^ ": the sweep's first solve is factored") 1
+        (check_warm_sweep_zero_alloc (name ^ ", factored load") ~nvars ~constrs
+           ~load:(fun s -> Linprog.Solver.load s image)
+           from_factored))
     Bidir.Protocol.all
 
-(* The kernel adds its work up in plain fields and publishes it once
-   per entry point. A [Solver.load] that carries and refactorises the
-   previous optimal basis, with no solve after it, must already have
-   moved both work counters; so must a one-shot [Simplex.maximize],
-   whose kernel is dropped when it returns. *)
-let test_kernel_counts_flushed () =
-  let row_ops = Telemetry.Metrics.counter "linprog.kernel_row_ops"
-  and refactor = Telemetry.Metrics.counter "linprog.refactor_eliminations" in
-  let value = Telemetry.Metrics.value in
-  let system scale =
-    [ c_ [| 1.; 2. |] le (4. *. scale); c_ [| 3.; 1. |] le (6. *. scale) ]
-  in
-  let image scale = Linprog.Solver.image ~nvars:2 ~constrs:(system scale) in
-  let solver = Linprog.Solver.of_image (image 1.) in
-  (* optimum at the vertex where both rows bind: x and y basic *)
+(* ------------------------------------------------------------------ *)
+(* Factored carried bases                                              *)
+(* ------------------------------------------------------------------ *)
+
+let row_ops = Telemetry.Metrics.counter "linprog.kernel_row_ops"
+let refactor = Telemetry.Metrics.counter "linprog.refactor_eliminations"
+let pivots_c = Telemetry.Metrics.counter "linprog.pivots"
+let phase1_skipped = Telemetry.Metrics.counter "linprog.phase1_skipped"
+let warm_solves = Telemetry.Metrics.counter "linprog.warm_solves"
+
+(* How much each of [counters] moved across [f ()]. *)
+let moved counters f =
+  let before = List.map Telemetry.Metrics.value counters in
+  let r = f () in
+  (r, List.map2 (fun c b -> Telemetry.Metrics.value c - b) counters before)
+
+(* x + 2y <= 4s, 3x + y <= 6s: max x + y is where both rows bind,
+   (1.6 s, 1.2 s), with x and y basic. *)
+let two_rows ?(r2 = 6.) s = [ c_ [| 1.; 2. |] le (4. *. s); c_ [| 3.; 1. |] le (r2 *. s) ]
+let two_rows_image ?r2 s = Linprog.Solver.image ~nvars:2 ~constrs:(two_rows ?r2 s)
+
+let solved_at_vertex () =
+  let solver = Linprog.Solver.of_image (two_rows_image 1.) in
   ignore (expect_optimal (Linprog.Solver.reoptimize solver ~c:[| 1.; 1. |]));
-  let r0 = value row_ops and f0 = value refactor in
-  Linprog.Solver.load solver (image 2.);
-  Alcotest.(check int) "refactor eliminations after load" 2
-    (value refactor - f0);
-  Alcotest.(check bool) "row ops after load" true (value row_ops > r0);
+  solver
+
+(* A carried basis that is optimal for the reloaded system answers from
+   its factorisation: no tableau cell is written, so neither the
+   kernel's element updates nor the refactorisation count move. *)
+let test_factored_optimal_no_tableau () =
+  let solver = solved_at_vertex () in
+  let x = Array.make 3 0. in
+  let verdict, deltas =
+    moved [ row_ops; refactor; factored_solves; pivots_c; phase1_skipped ]
+      (fun () ->
+        Linprog.Solver.load solver (two_rows_image 2.);
+        Linprog.Solver.reoptimize_into solver ~c:[| 1.; 1. |] ~x)
+  in
+  Alcotest.(check bool) "optimal" true (verdict = Linprog.Solver.Optimal);
+  Alcotest.(check (list int))
+    "row ops, refactor eliminations, factored solves, pivots, phase-1 skips"
+    [ 0; 0; 1; 0; 1 ] deltas;
+  let s = expect_optimal (solve_max [| 1.; 1. |] (two_rows 2.)) in
+  check_float ~eps:1e-12 "x" s.Linprog.Simplex.x.(0) x.(0);
+  check_float ~eps:1e-12 "y" s.Linprog.Simplex.x.(1) x.(1);
+  check_float ~eps:1e-12 "objective" s.Linprog.Simplex.objective x.(2);
+  (* a feasibility probe on a factored basis needs no tableau either *)
+  Linprog.Solver.load solver (two_rows_image 3.);
+  let sat, deltas = moved [ row_ops; factored_solves ] (fun () ->
+      Linprog.Solver.feasible solver)
+  in
+  Alcotest.(check bool) "feasible" true sat;
+  Alcotest.(check (list int)) "probe: row ops, factored solves" [ 0; 1 ] deltas
+
+(* A carried basis the new right-hand side makes infeasible (the two
+   rows now meet at x = -0.6) is not carried: the load runs phase 1
+   from the image's slack basis, and the next solve is cold. *)
+let test_factored_infeasible_runs_phase1 () =
+  let solver = solved_at_vertex () in
+  let outcome, deltas =
+    moved [ phase1_skipped; warm_solves; factored_solves; refactor ]
+      (fun () ->
+        Linprog.Solver.load solver (two_rows_image ~r2:0.5 1.);
+        Linprog.Solver.reoptimize solver ~c:[| 1.; 1. |])
+  in
+  Alcotest.(check (list int))
+    "phase-1 skips, warm solves, factored solves, refactor eliminations"
+    [ 0; 0; 0; 0 ] deltas;
+  let s = expect_optimal outcome
+  and r = expect_optimal (solve_max [| 1.; 1. |] (two_rows ~r2:0.5 1.)) in
+  check_float ~eps:1e-12 "objective" r.Linprog.Simplex.objective
+    s.Linprog.Simplex.objective
+
+(* A carried basis that is feasible but not optimal builds the tableau
+   and pivots from it: [reoptimize_into] (which tries the factored
+   basis first) and [reoptimize] (which always builds the tableau) take
+   the same pivots to the same bits. Max x from the (1.6, 1.2) vertex
+   is one pivot, to (2, 0). *)
+let test_factored_not_optimal_pivots () =
+  let a = solved_at_vertex () and b = solved_at_vertex () in
+  let im = two_rows_image 1. in
+  Linprog.Solver.load a im;
+  Linprog.Solver.load b im;
+  let x = Array.make 3 0. in
+  let pa0 = Linprog.Solver.pivots a and pb0 = Linprog.Solver.pivots b in
+  let verdict, deltas =
+    moved [ factored_solves; refactor ] (fun () ->
+        Linprog.Solver.reoptimize_into a ~c:[| 1.; 0. |] ~x)
+  in
+  Alcotest.(check bool) "optimal" true (verdict = Linprog.Solver.Optimal);
+  Alcotest.(check (list int)) "factored solves, refactor eliminations (m = 2)"
+    [ 0; 2 ] deltas;
+  let s = expect_optimal (Linprog.Solver.reoptimize b ~c:[| 1.; 0. |]) in
+  Alcotest.(check int) "pivots (factored first)" 1 (Linprog.Solver.pivots a - pa0);
+  Alcotest.(check int) "pivots (tableau)" 1 (Linprog.Solver.pivots b - pb0);
+  Alcotest.(check bool) "same bits" true
+    (Int64.bits_of_float x.(0) = Int64.bits_of_float s.Linprog.Simplex.x.(0)
+    && Int64.bits_of_float x.(1) = Int64.bits_of_float s.Linprog.Simplex.x.(1)
+    && Int64.bits_of_float x.(2) = Int64.bits_of_float s.Linprog.Simplex.objective);
+  check_float ~eps:1e-12 "x" 2. x.(0)
+
+(* Twin solvers over one random history of loads and objectives: one
+   answers with [reoptimize_into], which ends on a factored basis when
+   it is optimal, the other with [reoptimize], which always builds the
+   tableau. Both must take the same pivots to the same bits, so the
+   factored check decides exactly as the tableau's pricing does. *)
+let prop_factored_matches_tableau =
+  QCheck.Test.make ~count:200
+    ~name:"factored solves = tableau solves (pivots and bits)"
+    QCheck.(
+      pair lp_paired_gen
+        (list_of_size Gen.(int_range 1 8)
+           (triple bool (float_range 0.5 1.5) (pair (float_range 0. 5.) (float_range 0. 5.)))))
+    (fun ((c, rows), steps) ->
+      let rows1 = List.map fst rows
+      and rows2 =
+        List.map (fun ((is_ge, _, _, _), (a, b, r)) -> (is_ge, a, b, r)) rows
+      in
+      let scaled rows s =
+        mixed_constrs (List.map (fun (g, a, b, r) -> (g, a, b, r *. s)) rows)
+      in
+      let image rows s = Linprog.Solver.image ~nvars:2 ~constrs:(scaled rows s) in
+      let a = Linprog.Solver.of_image (image rows1 1.)
+      and b = Linprog.Solver.of_image (image rows1 1.) in
+      let x = Array.make 3 0. in
+      let bits v = Int64.bits_of_float v in
+      List.for_all
+        (fun (second, s, (c1, c2)) ->
+          let im = image (if second then rows2 else rows1) s in
+          Linprog.Solver.load a im;
+          Linprog.Solver.load b im;
+          let c = [| c1 +. fst c; c2 +. snd c |] in
+          let same =
+            match
+              (Linprog.Solver.reoptimize_into a ~c ~x, Linprog.Solver.reoptimize b ~c)
+            with
+            | Linprog.Solver.Optimal, Linprog.Simplex.Optimal s ->
+              bits x.(0) = bits s.Linprog.Simplex.x.(0)
+              && bits x.(1) = bits s.Linprog.Simplex.x.(1)
+              && bits x.(2) = bits s.Linprog.Simplex.objective
+            | Linprog.Solver.Unbounded, Linprog.Simplex.Unbounded
+            | Linprog.Solver.Infeasible, Linprog.Simplex.Infeasible -> true
+            | _ -> false
+          in
+          same && Linprog.Solver.pivots a = Linprog.Solver.pivots b)
+        steps)
+
+(* The kernel adds its work up in plain fields and publishes it once
+   per entry point, so every counter is exact when a call returns:
+   - a carried [Solver.load] whose basis stays feasible factors it
+     without touching the tableau, and moves neither work counter;
+   - the first solve that needs a pivot after such a load builds the
+     tableau, moving the refactorisation count by the row count;
+   - a [Solver.load] whose carried basis is infeasible runs phase 1 in
+     the tableau (here an artificial must leave for the x + y >= 1
+     row), and has moved the row ops by the time it returns;
+   - a one-shot [Simplex.maximize], whose kernel is dropped when it
+     returns, has moved the row ops. *)
+let test_kernel_counts_flushed () =
+  let value = Telemetry.Metrics.value in
+  let with_floor ?r2 s = c_ [| 1.; 1. |] ge 1. :: two_rows ?r2 s in
+  let image ?r2 s = Linprog.Solver.image ~nvars:2 ~constrs:(with_floor ?r2 s) in
+  let solver = Linprog.Solver.of_image (image 1.) in
+  ignore (expect_optimal (Linprog.Solver.reoptimize solver ~c:[| 1.; 1. |]));
+  let (), deltas =
+    moved [ row_ops; refactor ] (fun () -> Linprog.Solver.load solver (image 2.))
+  in
+  Alcotest.(check (list int)) "factored load: row ops, refactor eliminations"
+    [ 0; 0 ] deltas;
+  let _, deltas =
+    moved [ row_ops; refactor ] (fun () ->
+        expect_optimal (Linprog.Solver.reoptimize solver ~c:[| 1.; 1. |]))
+  in
+  Alcotest.(check int) "refactor eliminations once the tableau is built" 3
+    (List.nth deltas 1);
+  Alcotest.(check bool) "row ops once the tableau is built" true
+    (List.hd deltas > 0);
+  let r0 = value row_ops in
+  Linprog.Solver.load solver (image ~r2:0.5 1.);
+  Alcotest.(check bool) "row ops after a phase-1 load" true (value row_ops > r0);
   let r1 = value row_ops in
-  ignore (expect_optimal (solve_max [| 1.; 1. |] (system 1.)));
+  ignore (expect_optimal (solve_max [| 1.; 1. |] (two_rows 1.)));
   Alcotest.(check bool) "row ops after Simplex.maximize" true
     (value row_ops > r1)
 
@@ -674,6 +861,7 @@ let qcheck_cases =
       prop_solver_rebuild_matches_fresh;
       prop_reoptimize_into_matches_simplex;
       prop_reoptimize_into_matches_reoptimize;
+      prop_factored_matches_tableau;
     ]
 
 let suites =
@@ -705,6 +893,12 @@ let suites =
           test_reoptimize_into_zero_alloc;
         Alcotest.test_case "kernel work published by every entry point"
           `Quick test_kernel_counts_flushed;
+        Alcotest.test_case "optimal carried basis builds no tableau" `Quick
+          test_factored_optimal_no_tableau;
+        Alcotest.test_case "infeasible carried basis runs phase 1" `Quick
+          test_factored_infeasible_runs_phase1;
+        Alcotest.test_case "non-optimal carried basis pivots as the tableau"
+          `Quick test_factored_not_optimal_pivots;
       ] );
     ("linprog.properties", qcheck_cases);
   ]

@@ -211,6 +211,16 @@ let test_pool_idle_budget_histogram () =
   Alcotest.(check bool) "empty vs empty matches" true
     (S.identical (S.diff empty empty'))
 
+(* [engine.lp_solves] is no longer registered: a baseline written
+   while it was still carries it, and must not report it missing. *)
+let test_retired_lp_solves_ignored () =
+  let base = snap [] [ ("engine.lp_solves", 455); ("linprog.solves", 455) ] in
+  let cur = snap [] [ ("linprog.solves", 455) ] in
+  let d = S.diff base cur in
+  Alcotest.(check bool) "old baseline reads cleanly" true (S.ok d);
+  Alcotest.(check bool) "rule is Ignore" true
+    ((find_cmp d "engine.lp_solves").S.rule = S.Ignore)
+
 let test_chunk_imbalance_ignored () =
   let name = "engine.pool.chunk_imbalance" in
   let base = snap [ (name, hist_of [ 1.1; 1.4 ]) ] [] in
@@ -265,6 +275,8 @@ let suites =
           test_pool_idle_budget_histogram;
         Alcotest.test_case "chunk imbalance ignored" `Quick
           test_chunk_imbalance_ignored;
+        Alcotest.test_case "retired engine.lp_solves ignored" `Quick
+          test_retired_lp_solves_ignored;
         Alcotest.test_case "report names the offender" `Quick
           test_report_names_offender;
       ] );

@@ -472,6 +472,35 @@ let test_alloc_marks_collection_proof () =
     (Printf.sprintf "1001 major words read %.0f" large)
     true (large >= 8008. && large < 8008. +. 64.)
 
+(* A span's [gc.alloc_bytes] is read through the same marks: a minor
+   collection inside the span leaves it at the few words the span's own
+   bookkeeping costs (through [Gc.allocated_bytes] it read about 1.8 MB
+   after [churn]). The same holds for a bare [measure]. *)
+let test_span_alloc_ignores_collections () =
+  churn ();
+  Telemetry.Resource.with_enabled true (fun () ->
+      Telemetry.Span.start ();
+      Telemetry.Span.with_span "gc-span" Gc.minor;
+      Telemetry.Span.stop ());
+  let ev =
+    List.find
+      (fun e -> e.Telemetry.Span.name = "gc-span")
+      (Telemetry.Span.events ())
+  in
+  (match List.assoc_opt "gc.alloc_bytes" ev.Telemetry.Span.args with
+  | Some (J.Float b) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "span across a minor collection read %.0f" b)
+      true (b < 1024.)
+  | _ -> Alcotest.fail "span lacks gc.alloc_bytes arg");
+  churn ();
+  let (), d = Telemetry.Resource.measure Gc.minor in
+  Alcotest.(check bool)
+    (Printf.sprintf "measure across a minor collection read %.0f"
+       d.Telemetry.Resource.alloc_bytes)
+    true
+    (d.Telemetry.Resource.alloc_bytes < 1024.)
+
 let test_resource_span_args () =
   Telemetry.Resource.with_enabled true (fun () ->
       Telemetry.Span.start ();
@@ -1302,6 +1331,8 @@ let suites =
           test_resource_account_counters;
         Alcotest.test_case "spans carry GC deltas when enabled" `Quick
           test_resource_span_args;
+        Alcotest.test_case "span allocation ignores collections" `Quick
+          test_span_alloc_ignores_collections;
         Alcotest.test_case "LP allocation marks ignore collections" `Quick
           test_alloc_marks_collection_proof;
         Alcotest.test_case "tracking is observation-only (domains 1/4)"
