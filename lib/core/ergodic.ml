@@ -14,30 +14,32 @@ let draw_mi ~power gains = Gaussian.mi (Gaussian.scenario_lin ~power ~gains)
 
 (* One Monte-Carlo sample: the full-CSI sum rate at a draw's mutual
    informations, solved straight from the compiled template — the
-   float [Optimize.sum_rate] returns. Samples bypass that function's
-   memo: a continuous fading draw never repeats, so every entry would
-   be stored and never read. *)
+   float [Optimize.sum_rate] returns — and read from the slot's buffer,
+   with no result copy. Samples bypass that function's memo: a
+   continuous fading draw never repeats, so every entry would be stored
+   and never read. *)
 let sample_sum_rate template m =
-  let x = Rate_region.solve_template template m in
+  let x = Rate_region.solve_template_into template m in
   x.(0) +. x.(1)
 
-(* Template solves are not timed one by one; one span covers the
-   [lps] samples of one estimate (a table cell), its args built only
-   while tracing is on. *)
-let cell_span protocol ~power ~lps f =
+(* Template solves are not timed one by one; one span covers the [lps]
+   samples of a batch (an estimate, or a table's protocol column), its
+   args built only while tracing is on. *)
+let cell_span ?power protocol ~lps f =
   let args =
     if Telemetry.Span.enabled () then
-      [ ("protocol", Telemetry.Json.String (Protocol.name protocol));
-        ("power", Telemetry.Json.Float power);
-        ("lps", Telemetry.Json.Int lps);
-      ]
+      (("protocol", Telemetry.Json.String (Protocol.name protocol))
+       :: (match power with
+          | Some p -> [ ("power", Telemetry.Json.Float p) ]
+          | None -> []))
+      @ [ ("lps", Telemetry.Json.Int lps) ]
     else []
   in
   Telemetry.Span.with_span ~cat:"ergodic" "ergodic.cell" ~args f
 
 let ergodic_sum_rate ?(blocks = 2000) fading ~power protocol =
   let t = Rate_region.sum_rate_template protocol Bound.Inner in
-  cell_span protocol ~power ~lps:blocks @@ fun () ->
+  cell_span ~power protocol ~lps:blocks @@ fun () ->
   estimate_of_samples
     (sample_blocks ~blocks fading (fun gains ->
          sample_sum_rate t (draw_mi ~power gains)))
@@ -83,26 +85,48 @@ let ergodic_table ?(blocks = 1000) ?(powers_db = [ 0.; 5.; 10. ])
       (Channel.Fading.create ~rng_seed:seed ~mean:mean_gains ())
       Fun.id
   in
-  let rows =
-    List.concat_map
+  let mis =
+    Array.map
       (fun power_db ->
         let power = Numerics.Float_utils.db_to_lin power_db in
-        let mis = Array.map (draw_mi ~power) draws in
-        List.map
-          (fun protocol ->
-            let t = Rate_region.sum_rate_template protocol Bound.Inner in
-            let e =
-              cell_span protocol ~power ~lps:blocks @@ fun () ->
-              estimate_of_samples (Array.map (sample_sum_rate t) mis)
-            in
-            let lo, hi = e.ci95 in
-            [ Printf.sprintf "%g" power_db;
-              Protocol.name protocol;
-              Printf.sprintf "%.4f" e.mean;
-              Printf.sprintf "[%.4f, %.4f]" lo hi;
-            ])
-          Protocol.all)
-      powers_db
+        Array.map (draw_mi ~power) draws)
+      (Array.of_list powers_db)
+  in
+  let npowers = Array.length mis in
+  (* draw-major: each protocol solves one draw at every power back to
+     back, so its carried basis moves between the same gains at
+     adjacent powers rather than between two random draws; each sample
+     lands in its (power, draw) slot, and each cell still sums its
+     draws in draw order *)
+  let columns =
+    List.map
+      (fun protocol ->
+        let t = Rate_region.sum_rate_template protocol Bound.Inner in
+        let samples = Array.init npowers (fun _ -> Array.make blocks 0.) in
+        cell_span protocol ~lps:(blocks * npowers) (fun () ->
+            for d = 0 to blocks - 1 do
+              for p = 0 to npowers - 1 do
+                samples.(p).(d) <- sample_sum_rate t mis.(p).(d)
+              done
+            done);
+        Array.map estimate_of_samples samples)
+      Protocol.all
+  in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun p power_db ->
+           List.map2
+             (fun protocol estimates ->
+               let e = estimates.(p) in
+               let lo, hi = e.ci95 in
+               [ Printf.sprintf "%g" power_db;
+                 Protocol.name protocol;
+                 Printf.sprintf "%.4f" e.mean;
+                 Printf.sprintf "[%.4f, %.4f]" lo hi;
+               ])
+             Protocol.all columns)
+         powers_db)
   in
   { Figures.table_id = "ergodic";
     table_title =

@@ -25,7 +25,7 @@ val ergodic_sum_rate :
 (** [ergodic_sum_rate fading ~power p] estimates the full-CSI adaptive
     sum rate of protocol [p] over [blocks] (default 2000) fading draws.
     Each draw is one sum-rate LP solved from its compiled template
-    ({!Rate_region.solve_template}); samples are not memoized, and each
+    ({!Rate_region.solve_template_into}); samples are not memoized, and each
     equals [(Optimize.sum_rate p Bound.Inner s).sum_rate] at the draw's
     scenario [s] bit for bit. The samples are not timed one by one: one
     [ergodic.cell] span (arguments [protocol], [power], [lps]) covers
@@ -59,5 +59,7 @@ val ergodic_table :
 (** Extension artifact: ergodic sum rates of all the protocols under
     Rayleigh fading with the Fig. 4 mean gains. Every cell averages the
     same [blocks] draws of one process seeded with [seed], exactly as
-    if each had its own fresh process. Each cell records one
-    [ergodic.cell] span, like {!ergodic_sum_rate}. *)
+    if each had its own fresh process. Each protocol solves its draws
+    draw-major (a draw at every power, then the next draw), and one
+    [ergodic.cell] span (arguments [protocol], [lps] = blocks x
+    powers) covers the protocol's column. *)

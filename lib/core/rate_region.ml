@@ -196,7 +196,7 @@ let clear_cache () =
    solved; memo hits never reach this. Template solves are not timed
    one by one: a span and two clock reads cost about a tenth of one,
    and their callers time them in bulk (the [optimize.sum_rate] span of
-   a memo miss, the [ergodic.cell] span of a Monte-Carlo estimate). *)
+   a memo miss, the [ergodic.cell] span of a batch of fading samples). *)
 let lp_seconds = Telemetry.Metrics.histogram "lp.solve_seconds"
 
 let timed_lp span f =

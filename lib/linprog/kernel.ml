@@ -282,17 +282,18 @@ let solution_into t ~nvars ~x =
 (* ------------------------------------------------------------------ *)
 
 (* Most carried bases are optimal for the next system, so its tableau
-   is never needed. [factor_basis] runs Gauss-Jordan with full pivoting
-   — the choices, tie rules and operation order of a refactorisation
-   in the tableau — on the m x (m + 1) matrix [B | b] alone: the
-   carried columns and the right-hand side of the image. Elimination
-   treats columns independently, so every value it computes (the pivot
-   choices, the singularity test, x_B) is bit for bit what the tableau
-   would hold: the LP history does not depend on whether a tableau was
-   built. The order is not free: partial pivoting costs less but moves
-   the last bits of x_B, and root finders downstream then take other
-   steps. It records each step's pivot row, pivot value and non-zero
-   row multipliers, which serve twice:
+   is never needed. [factor_basis] runs Gauss-Jordan on the m x (m + 1)
+   matrix [B | b] alone: the carried columns, in the row order the last
+   system left them, and the right-hand side of the image. Step s
+   pivots in carried column s on its largest unconsumed entry (partial
+   pivoting: one column searched, no column swaps), with [eliminate]'s
+   arithmetic. Elimination treats columns independently, so the steps
+   replayed in the tableau compute every value bit for bit: the LP
+   history does not depend on whether a tableau was built. The pivot
+   rule is part of that history: its choices set the last bits of x_B,
+   and root finders downstream take their steps from them. It records
+   each step's pivot row, pivot value and non-zero row multipliers,
+   which serve twice:
    - [factored_optimal] applies the steps' transposes to c_B for the
      duals y = B^-T c_B and prices the image's columns against them;
    - [replay] re-runs the recorded pivots on a fresh blit of the image,
@@ -357,10 +358,11 @@ let rhs_tol = 1e-10
 
 (* Factor the kernel's basis, carried from the last system, against the
    image [cells] (laid out with this kernel's geometry) by Gauss-Jordan
-   with full pivoting over the basic columns, taken in row order. The
+   with partial pivoting, one basic column per step in row order. The
    basis is rewritten to name, per row, the column a step made basic
-   there; the tableau's cells are not touched. True when B is
-   non-singular and x_B >= -[rhs_tol]. *)
+   there; the tableau's cells are not touched. True when every step
+   finds an unconsumed entry above [singular_tol] in its column and
+   x_B >= -[rhs_tol]. *)
 let factor_basis t f ~cells =
   let m = t.nrows and stride = stride t and rhs_col = t.ncols in
   reserve f m;
@@ -378,36 +380,21 @@ let factor_basis t f ~cells =
   let ok = ref true and s = ref 0 and nt = ref 0 in
   while !ok && !s < m do
     let step = !s in
-    (* unconsumed rows: [row_done] is false; unconsumed columns: those
-       at [step .. m-1], in the order the swaps below leave them *)
-    let best = ref singular_tol and br = ref (-1) and bc = ref (-1) in
+    (* partial pivoting: the largest |entry| of column [step] among the
+       unconsumed rows ([row_done] false), the lowest row on ties *)
+    let best = ref singular_tol and br = ref (-1) in
     for i = 0 to m - 1 do
       if not (Array.unsafe_get f.row_done i) then begin
-        let woff = i * ws in
-        for c = step to m - 1 do
-          let v = abs_float (Float.Array.unsafe_get w (woff + c)) in
-          if v > !best then begin
-            best := v;
-            br := i;
-            bc := c
-          end
-        done
+        let v = abs_float (Float.Array.unsafe_get w ((i * ws) + step)) in
+        if v > !best then begin
+          best := v;
+          br := i
+        end
       end
     done;
     if !br < 0 then ok := false
     else begin
-      let row = !br and bc = !bc in
-      if bc <> step then begin
-        for i = 0 to m - 1 do
-          let off = i * ws in
-          let v = Float.Array.unsafe_get w (off + bc) in
-          Float.Array.unsafe_set w (off + bc) (Float.Array.unsafe_get w (off + step));
-          Float.Array.unsafe_set w (off + step) v
-        done;
-        let col = Array.unsafe_get pcol bc in
-        Array.unsafe_set pcol bc (Array.unsafe_get pcol step);
-        Array.unsafe_set pcol step col
-      end;
+      let row = !br in
       (* [eliminate]'s arithmetic on the unconsumed columns and b: the
          consumed ones are unit columns, zero in every row this step
          changes, so they would not move *)

@@ -124,14 +124,16 @@ val factor_basis : t -> factor -> cells:floatarray -> bool
 (** [factor_basis t f ~cells] factors [t]'s current basis (the columns
     basic in rows [0 .. nrows-1], in row order) against the image
     [cells] (row-major with [t]'s geometry, right-hand side last) by
-    Gauss-Jordan with full pivoting over those columns: the choices and
-    arithmetic of a refactorisation in the tableau, on the m x (m + 1)
-    matrix [B | b] alone, so the factored right-hand side is bit for
-    bit the tableau's. [t]'s basis is rewritten to the column each step
-    made basic in each row; its cells are not read or written. True
-    when B is non-singular (no pivot below 1e-7) and x_B has no entry
-    below -1e-10; otherwise the basis is partly rewritten and the
-    caller reloads. *)
+    Gauss-Jordan with partial pivoting: step s pivots in the s-th of
+    those columns, on its largest entry among the rows not yet pivoted
+    (the lowest row on ties), with the arithmetic of {!eliminate} on
+    the m x (m + 1) matrix [B | b] alone, so the factored right-hand
+    side is bit for bit what {!replay} leaves in the tableau. [t]'s
+    basis is rewritten to the column each step made basic in each row;
+    its cells are not read or written. True when every step finds a
+    pivot above 1e-7 and x_B has no entry below -1e-10; otherwise
+    (B singular, or a column that is tiny before its turn) the basis
+    is partly rewritten and the caller reloads. *)
 
 val factored_optimal : t -> factor -> cells:floatarray -> below:int -> bool
 (** Whether the factored basis is optimal for the loaded cost: with

@@ -112,9 +112,10 @@ let test_ergodic_table_unmemoized () =
       Alcotest.(check int) name want (Telemetry.Metrics.value (counter name) - b))
     watched before
 
-(* Template samples are timed in bulk: one [ergodic.cell] span per
-   table cell, carrying the cell's LP count, and no per-LP span or
-   [lp.solve_seconds] sample. *)
+(* Template samples are timed in bulk: the table solves each
+   protocol's draws at every power back to back, so one [ergodic.cell]
+   span per protocol column, carrying the column's LP count (blocks x
+   powers), and no per-LP span or [lp.solve_seconds] sample. *)
 let test_ergodic_table_cell_spans () =
   let h = Telemetry.Metrics.histogram "lp.solve_seconds" in
   let samples0 = Telemetry.Histogram.count h in
@@ -128,12 +129,12 @@ let test_ergodic_table_cell_spans () =
     List.filter (fun e -> e.Telemetry.Span.name = n) (Telemetry.Span.events ())
   in
   let cells = named "ergodic.cell" in
-  Alcotest.(check int) "one span per cell" (2 * List.length Bidir.Protocol.all)
+  Alcotest.(check int) "one span per protocol" (List.length Bidir.Protocol.all)
     (List.length cells);
   List.iter
     (fun e ->
       match List.assoc_opt "lps" e.Telemetry.Span.args with
-      | Some (Telemetry.Json.Int n) -> Alcotest.(check int) "lps" 20 n
+      | Some (Telemetry.Json.Int n) -> Alcotest.(check int) "lps" (2 * 20) n
       | _ -> Alcotest.fail "ergodic.cell span lacks its lps argument")
     cells;
   Alcotest.(check int) "lp.solve spans" 0 (List.length (named "lp.solve"));
@@ -339,7 +340,7 @@ let suites =
           test_ergodic_table_unmemoized;
         Alcotest.test_case "table = per-cell memoized table" `Quick
           test_ergodic_table_matches_per_cell;
-        Alcotest.test_case "one span per table cell" `Quick
+        Alcotest.test_case "one span per protocol column" `Quick
           test_ergodic_table_cell_spans;
       ] );
     ( "bidir.relay_selection",

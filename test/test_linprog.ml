@@ -736,6 +736,45 @@ let test_factored_infeasible_runs_phase1 () =
   check_float ~eps:1e-12 "objective" r.Linprog.Simplex.objective
     s.Linprog.Simplex.objective
 
+(* Partial pivoting takes the carried columns in row order, so a
+   non-singular B whose first carried column is tiny in every row is
+   declared singular before the other column can pivot first, as full
+   pivoting would. [solved_at_vertex] leaves y basic in row 0 (x enters
+   first, on the second row), x in row 1. With e = 6e-8 below the 1e-7
+   pivot floor, the rows x + e y <= 1 + e and x - e y <= 1 - e meet at
+   (1, 1) with det B = 2e: y's column (e, -e) has no usable pivot, so
+   the load runs fill + phase 1 and the solve is cold. The mirrored
+   system, with x's column tiny, is factored: y pivots first, and
+   eliminating it leaves x the pivot -2e, above the floor. *)
+let test_factored_partial_pivot_singular () =
+  let e = 6e-8 in
+  let rows a b = [ c_ a le (1. +. e); c_ b le (1. -. e) ] in
+  let load_and_solve constrs c =
+    let solver = solved_at_vertex () in
+    let x = Array.make 3 0. in
+    let verdict, deltas =
+      moved [ factored_solves; phase1_skipped; warm_solves; refactor ]
+        (fun () ->
+          Linprog.Solver.load solver (Linprog.Solver.image ~nvars:2 ~constrs);
+          Linprog.Solver.reoptimize_into solver ~c ~x)
+    in
+    Alcotest.(check bool) "optimal" true (verdict = Linprog.Solver.Optimal);
+    (* to the oracle's feasibility slack, 1e-6: it accepts vertices
+       that break a row by less, here (1 + e, 0) *)
+    (match brute_force_2d c constrs with
+    | Some best -> check_float ~eps:1e-6 "objective = oracle" best x.(2)
+    | None -> Alcotest.fail "oracle found no vertex");
+    deltas
+  in
+  Alcotest.(check (list int))
+    "y's column tiny: factored solves, phase-1 skips, warm solves, refactor"
+    [ 0; 0; 0; 0 ]
+    (load_and_solve (rows [| 1.; e |] [| 1.; -.e |]) [| 1.; 0. |]);
+  Alcotest.(check (list int))
+    "x's column tiny: factored solves, phase-1 skips, warm solves, refactor"
+    [ 1; 1; 1; 0 ]
+    (load_and_solve (rows [| e; 1. |] [| -.e; 1. |]) [| 0.; 1. |])
+
 (* A carried basis that is feasible but not optimal builds the tableau
    and pivots from it: [reoptimize_into] (which tries the factored
    basis first) and [reoptimize] (which always builds the tableau) take
@@ -899,6 +938,8 @@ let suites =
           test_factored_infeasible_runs_phase1;
         Alcotest.test_case "non-optimal carried basis pivots as the tableau"
           `Quick test_factored_not_optimal_pivots;
+        Alcotest.test_case "tiny first carried column runs phase 1" `Quick
+          test_factored_partial_pivot_singular;
       ] );
     ("linprog.properties", qcheck_cases);
   ]
