@@ -101,7 +101,10 @@ let rates_for rows =
         Linprog.Simplex.constr [| ca; cb |] Linprog.Simplex.Le budget)
       rows
   in
-  match Linprog.Simplex.maximize ~c:[| 1.; 1. |] ~constrs with
+  match
+    Linprog.Solver.reoptimize (Linprog.Solver.create ~nvars:2 ~constrs)
+      ~c:[| 1.; 1. |]
+  with
   | Linprog.Simplex.Optimal sol ->
     (sol.Linprog.Simplex.x.(0), sol.Linprog.Simplex.x.(1))
   | Linprog.Simplex.Unbounded | Linprog.Simplex.Infeasible ->

@@ -21,9 +21,8 @@ val lp_constraints : Bound.t -> int * Linprog.Simplex.constr list
 (** The raw LP behind every query on this region: variable count and
     constraint rows over [x = [Ra; Rb; d_1; ...; d_L]] (the bound's
     terms as [<=] rows plus the duration simplex equality). Exposed so
-    benchmarks and tests can drive {!Linprog.Simplex} /
-    {!Linprog.Solver} on the exact production system; ordinary callers
-    never need it. *)
+    benchmarks and tests can drive {!Linprog.Solver} on the exact
+    production system; ordinary callers never need it. *)
 
 val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
 (** Maximise [wa Ra + wb Rb]; weights must be non-negative, not both 0.

@@ -11,8 +11,7 @@
    same shape touches no allocator at all.
 
    The arithmetic is kept operation-for-operation identical to the
-   historical nested-array implementation ([Simplex]'s and [Solver]'s
-   pre-flat tableaux): eliminations scale then subtract in the same
+   historical nested-array implementation (the pre-flat tableaux): eliminations scale then subtract in the same
    order, and reduced costs are accumulated per column in ascending row
    order, so pivot sequences — and therefore every figure and solver
    output — are bit-for-bit unchanged.
@@ -37,9 +36,7 @@ type t = {
   mutable row_ops : int;      (* element updates since [flush_counts] *)
 }
 
-(* The row stride: the right-hand side sits at column [ncols]. Derived
-   rather than stored, which keeps the record at nine fields: [Simplex]
-   builds one per solve. *)
+(* The row stride: the right-hand side sits at column [ncols]. *)
 let[@inline] stride t = t.ncols + 1
 
 let eps = 1e-9
@@ -66,7 +63,7 @@ let create ~nrows ~ncols =
 
 (* Set the active geometry, growing backing buffers only when the new
    system does not fit the current capacity. Contents are unspecified
-   afterwards — callers reload via [load] or [set]. *)
+   afterwards — callers reload via [load]. *)
 let resize t ~nrows ~ncols =
   let stride = ncols + 1 in
   if nrows * stride > Float.Array.length t.a then
@@ -83,17 +80,12 @@ let resize t ~nrows ~ncols =
 let nrows t = t.nrows
 let ncols t = t.ncols
 
-let set t i j v = Float.Array.unsafe_set t.a ((i * stride t) + j) v
-let rhs t i = Float.Array.unsafe_get t.a ((i * stride t) + t.ncols)
-
 let basis t i = Array.unsafe_get t.basis i
-let set_basis t i b = Array.unsafe_set t.basis i b
 
 let allow_all t = Array.fill t.allowed 0 t.ncols true
 
 (* Load a prebuilt tableau image: one blit for the cells, one for the
-   starting basis. Callers outside this module would otherwise fill
-   cell by cell through [set], boxing a float per cell under
+   starting basis, so no float crosses the module boundary boxed under
    [-opaque]. *)
 let load t ~nrows ~ncols ~cells ~basis =
   resize t ~nrows ~ncols;
@@ -299,8 +291,8 @@ let solution_into t ~nvars ~x =
    - [replay] re-runs the recorded pivots on a fresh blit of the image,
      when a pivot is needed after all.
 
-   Scratch is owned by the factor, not the kernel: [Simplex] builds a
-   kernel per solve and never factors. *)
+   Scratch is owned by the factor, not the kernel, and starts empty: a
+   solver that never carries a basis never grows it. *)
 
 type factor = {
   mutable fm : int;              (* basis order of the last factorisation *)

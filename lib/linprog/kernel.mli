@@ -1,7 +1,6 @@
 (** Flat row-major simplex tableau kernel.
 
-    The shared numeric core of {!Simplex} (cold reference) and
-    {!Solver} (warm-start engine): one contiguous unboxed [floatarray]
+    The numeric core of {!Solver}: one contiguous unboxed [floatarray]
     holds the m x (ncols + 1) tableau (right-hand side in the last
     column), and every hot operation — elimination, pricing, ratio
     test, reduced costs — walks it with [unsafe_get]/[unsafe_set] over
@@ -24,7 +23,7 @@
 type t
 
 val eps : float
-(** Pivot/pricing tolerance shared by both solvers (1e-9). *)
+(** Pivot/pricing tolerance (1e-9). *)
 
 val create : nrows:int -> ncols:int -> t
 (** Fresh kernel sized for an [nrows] x [ncols] system (plus the rhs
@@ -33,18 +32,9 @@ val create : nrows:int -> ncols:int -> t
 val nrows : t -> int
 val ncols : t -> int
 
-val set : t -> int -> int -> float -> unit
-(** [set t i j v] writes element (i, j); column [ncols] is the
-    right-hand side. *)
-
-val rhs : t -> int -> float
-(** The right-hand side of row [i]. *)
-
 val basis : t -> int -> int
-val set_basis : t -> int -> int -> unit
 (** The column currently basic in a row. *)
 
-val allow_all : t -> unit
 val bar_from : t -> int -> unit
 (** [bar_from t j0] forbids columns [j0 .. ncols-1] from entering the
     basis (artificials in phase 2). *)
@@ -114,7 +104,7 @@ val solution_into : t -> nvars:int -> x:float array -> unit
 type factor
 (** Scratch for a factored carried basis: the eliminated [B | b] of
     the basis and the pivot steps that eliminated it. Owned by one
-    solver (never by a throwaway [Simplex] kernel), grown on demand and
+    solver, grown on demand and
     reused, so a factorisation of the previous one's order allocates
     nothing. *)
 

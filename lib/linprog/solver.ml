@@ -1,9 +1,7 @@
-(* Reusable warm-start simplex engine.
+(* The two-phase simplex engine, warm-started across solves.
 
-   [Simplex] is the cold-start reference: one call builds a tableau,
-   runs phase 1, solves, and throws everything away. A [Solver.t]
-   instead owns its tableau (and every scratch buffer) for as long as
-   the caller keeps it: the constraint system is loaded once, phase 1
+   A [Solver.t] owns its tableau (and every scratch buffer) for as long
+   as the caller keeps it: the constraint system is loaded once, phase 1
    establishes a feasible basis once, and each [reoptimize ~c] restarts
    phase 2 from the basis the previous solve ended on — feasibility is
    invariant under objective changes, so phase 1 never re-runs on a
@@ -37,7 +35,6 @@
 
 type relation = Simplex.relation = Le | Ge | Eq
 
-(* Shared with [Simplex] (the registry returns the same handles). *)
 let solves_counter = Telemetry.Metrics.counter "linprog.solves"
 let pivots_counter = Telemetry.Metrics.counter "linprog.pivots"
 
@@ -57,7 +54,7 @@ let factored_solves_counter = Telemetry.Metrics.counter "linprog.factored_solves
 (* Allocation inside LP entry points while Telemetry.Resource is
    enabled, between [Resource.alloc_mark_begin]/[_end] marks;
    [linprog.alloc_bytes / linprog.solves] is the per-solve allocation
-   footprint. Shared with Simplex.maximize. *)
+   footprint. *)
 let alloc_bytes_counter = Telemetry.Metrics.counter "linprog.alloc_bytes"
 
 let record_alloc b0 =
@@ -197,7 +194,7 @@ let stall_limit = 20
    ties) until [stall_limit] consecutive degenerate pivots, then Bland
    (lowest eligible index) for the rest of the phase — Bland cannot
    cycle, so the phase terminates. Leaving row: minimum ratio, lowest
-   basis index among ties (same rule as the reference implementation). *)
+   basis index among ties. *)
 (* Iterative (no local recursive closure: a closure plus the refs it
    captures would be the only heap blocks left on the warm path).
    State: 0 = running, 1 = optimal, 2 = unbounded. *)

@@ -1,8 +1,8 @@
-(** Reusable warm-start simplex engine.
+(** The two-phase simplex engine, warm-started across solves.
 
-    {!Simplex} is the cold-start reference implementation: every call
-    rebuilds its tableau, re-runs phase 1 and allocates per iteration.
-    A {!t} amortises all of that across a sweep. Build one per
+    Problems are the {!Simplex} vocabulary: maximise [c . x] over
+    [x >= 0] subject to [Le]/[Ge]/[Eq] rows. A {!t} amortises tableau
+    construction and phase 1 across a sweep. Build one per
     constraint system with {!create} (tableau constructed once, phase 1
     run once); then every {!reoptimize} starts phase 2 from the basis
     the previous solve ended on. A basic feasible solution stays
@@ -22,19 +22,20 @@
     (telemetry included). Pricing is Dantzig's most-positive
     reduced-cost rule with an automatic sticky fallback to Bland's rule
     after a run of degenerate pivots (Bland cannot cycle, so
-    termination is unconditional), and the ratio test matches the
-    reference implementation.
+    termination is unconditional); the ratio test takes the minimum
+    ratio, lowest basis index among ties. A one-shot solve is
+    [reoptimize (create ~nvars ~constrs) ~c].
 
     {b Ownership contract:} an instance is mutable state and is NOT
     re-entrant — never share one between domains. The rate-region layer
     keys instances per (LP shape, domain) via [Domain.DLS]; see the
-    "LP solver architecture" section of [docs/ENGINE.md]. {!Simplex}
-    keeps its pure per-call contract and remains the reference the
-    QCheck suite checks this engine against.
+    "LP solver architecture" section of [docs/ENGINE.md]. The QCheck
+    suite checks this engine against an exhaustive basis enumeration
+    that shares no code with it.
 
     {b Telemetry:} every recorded solve updates [linprog.solves] and
-    [linprog.pivots] exactly as the reference does, plus
-    [linprog.warm_solves] / [linprog.phase1_skipped] for solves that
+    [linprog.pivots], plus [linprog.warm_solves] /
+    [linprog.phase1_skipped] for solves that
     started from a previously optimal basis, and
     [linprog.factored_solves] for solves that ended on a carried basis
     checked from its small factorisation, with no tableau built (see

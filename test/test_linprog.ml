@@ -1,9 +1,20 @@
-(* Tests for the simplex LP solver. *)
+(* Tests for the simplex LP engine, [Linprog.Solver]. Its answers are
+   checked against [Lp_oracle], an exhaustive basis enumeration that
+   shares no code with it. *)
 
 let check_float ?(eps = 1e-7) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
-let solve_max c constrs = Linprog.Simplex.maximize ~c ~constrs
+(* A one-shot solve: a fresh solver, phase 1, one phase 2. *)
+let solve_max c constrs =
+  Linprog.Solver.reoptimize
+    (Linprog.Solver.create ~nvars:(Array.length c) ~constrs)
+    ~c
+
+let feasible ~nvars constrs =
+  Linprog.Solver.feasible (Linprog.Solver.create ~nvars ~constrs)
+
+let oracle_max c constrs = Lp_oracle.maximize ~c ~constrs
 
 let expect_optimal = function
   | Linprog.Simplex.Optimal s -> s
@@ -43,20 +54,14 @@ let test_equality_constraint () =
   check_float "objective" 5. s.Linprog.Simplex.objective
 
 let test_ge_constraint () =
-  (* min x + 2y s.t. x + y >= 4, x <= 3, y <= 3 -> (3, 1), obj 5 *)
+  (* min x + 2y s.t. x + y >= 4, x <= 3, y <= 3 -> (3, 1), obj 5,
+     as max -x - 2y *)
   let s =
-    match
-      Linprog.Simplex.minimize ~c:[| 1.; 2. |]
-        ~constrs:
-          [ c_ [| 1.; 1. |] ge 4.;
-            c_ [| 1.; 0. |] le 3.;
-            c_ [| 0.; 1. |] le 3.;
-          ]
-    with
-    | Linprog.Simplex.Optimal s -> s
-    | _ -> Alcotest.fail "expected optimal"
+    expect_optimal
+      (solve_max [| -1.; -2. |]
+         [ c_ [| 1.; 1. |] ge 4.; c_ [| 1.; 0. |] le 3.; c_ [| 0.; 1. |] le 3. ])
   in
-  check_float "objective" 5. s.Linprog.Simplex.objective;
+  check_float "objective" (-5.) s.Linprog.Simplex.objective;
   check_float "x" 3. s.Linprog.Simplex.x.(0);
   check_float "y" 1. s.Linprog.Simplex.x.(1)
 
@@ -107,10 +112,9 @@ let test_zero_objective () =
 
 let test_feasible () =
   Alcotest.(check bool) "feasible" true
-    (Linprog.Simplex.feasible ~nvars:2 ~constrs:[ c_ [| 1.; 1. |] le 1. ]);
+    (feasible ~nvars:2 [ c_ [| 1.; 1. |] le 1. ]);
   Alcotest.(check bool) "infeasible" false
-    (Linprog.Simplex.feasible ~nvars:1
-       ~constrs:[ c_ [| 1. |] le 1.; c_ [| 1. |] ge 2. ])
+    (feasible ~nvars:1 [ c_ [| 1. |] le 1.; c_ [| 1. |] ge 2. ])
 
 let test_klee_minty_3 () =
   (* Klee-Minty cube in 3 dimensions: optimum is 5^3 / ... classic form:
@@ -152,108 +156,46 @@ let test_phase_duration_shape () =
   check_float "d1" (2. /. 3.) s.Linprog.Simplex.x.(2)
 
 (* ------------------------------------------------------------------ *)
-(* Model layer                                                         *)
+(* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_model_basic () =
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  let y = Linprog.Model.variable m "y" in
-  Linprog.Model.add m ~name:"cap_x" [ (x, 1.) ] `Le 4.;
-  Linprog.Model.add m ~name:"cap_y" [ (y, 2.) ] `Le 12.;
-  Linprog.Model.add m ~name:"mix" [ (x, 3.); (y, 2.) ] `Le 18.;
-  Linprog.Model.objective m [ (x, 3.); (y, 5.) ];
-  (match Linprog.Model.solve m with
-  | Ok sol ->
-    check_float "objective" 36. (Linprog.Model.objective_value sol);
-    check_float "x" 2. (Linprog.Model.value sol x);
-    check_float "y" 6. (Linprog.Model.value sol y)
-  | Error _ -> Alcotest.fail "expected optimal");
-  Alcotest.(check int) "vars" 2 (Linprog.Model.num_vars m);
-  Alcotest.(check int) "constraints" 3 (Linprog.Model.num_constraints m);
-  Alcotest.(check string) "name" "x" (Linprog.Model.var_name m x)
+(* Outcome classes must match; optimal objectives must agree to 1e-9
+   (relative — the engine pivots to the optimum, the oracle solves for
+   it, so only round-off separates them). The optimal *points* may
+   legitimately differ on a degenerate face. *)
+let same_outcome a b =
+  match (a, b) with
+  | Linprog.Simplex.Optimal s1, Linprog.Simplex.Optimal s2 ->
+    let o1 = s1.Linprog.Simplex.objective
+    and o2 = s2.Linprog.Simplex.objective in
+    abs_float (o1 -. o2) <= 1e-9 *. (1. +. Float.max (abs_float o1) (abs_float o2))
+  | Linprog.Simplex.Unbounded, Linprog.Simplex.Unbounded -> true
+  | Linprog.Simplex.Infeasible, Linprog.Simplex.Infeasible -> true
+  | _ -> false
 
-let test_model_duplicate_name () =
-  let m = Linprog.Model.create () in
-  let _ = Linprog.Model.variable m "x" in
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Model.variable: duplicate variable name x") (fun () ->
-      ignore (Linprog.Model.variable m "x"))
+(* Random LPs over the first n (1 to 4) of four variables and 1-5 rows
+   of every relation, with coefficients and right-hand sides of either
+   sign (so the engine's sign normalisation runs): the three outcome
+   classes all occur. *)
+let lp_general_gen =
+  let coeffs = QCheck.(array_of_size (Gen.return 4) (float_range (-2.) 5.)) in
+  QCheck.(
+    triple (int_range 1 4) coeffs
+      (list_of_size Gen.(int_range 1 5)
+         (triple (int_range 0 3) coeffs (float_range (-5.) 20.))))
 
-let test_model_repeated_terms () =
-  (* x + x <= 2 must mean 2x <= 2 *)
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  Linprog.Model.add m ~name:"double" [ (x, 1.); (x, 1.) ] `Le 2.;
-  Linprog.Model.objective m [ (x, 1.) ];
-  match Linprog.Model.solve m with
-  | Ok sol -> check_float "x" 1. (Linprog.Model.value sol x)
-  | Error _ -> Alcotest.fail "expected optimal"
-
-let test_model_infeasible () =
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  Linprog.Model.add m ~name:"lo" [ (x, 1.) ] `Ge 2.;
-  Linprog.Model.add m ~name:"hi" [ (x, 1.) ] `Le 1.;
-  Linprog.Model.objective m [ (x, 1.) ];
-  match Linprog.Model.solve m with
-  | Error `Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-let test_model_solve_min () =
-  let m = Linprog.Model.create () in
-  let x = Linprog.Model.variable m "x" in
-  let y = Linprog.Model.variable m "y" in
-  Linprog.Model.add m ~name:"cover" [ (x, 1.); (y, 1.) ] `Ge 4.;
-  Linprog.Model.add m ~name:"cap_x" [ (x, 1.) ] `Le 3.;
-  Linprog.Model.add m ~name:"cap_y" [ (y, 1.) ] `Le 3.;
-  Linprog.Model.objective m [ (x, 1.); (y, 2.) ];
-  match Linprog.Model.solve_min m with
-  | Ok sol -> check_float "objective" 5. (Linprog.Model.objective_value sol)
-  | Error _ -> Alcotest.fail "expected optimal"
-
-(* ------------------------------------------------------------------ *)
-(* Properties: cross-check against brute-force vertex enumeration      *)
-(* ------------------------------------------------------------------ *)
-
-(* For 2-variable LPs with <= constraints (plus x,y >= 0 and generous
-   box bounds to keep things bounded), enumerate all candidate vertices
-   as intersections of constraint pairs and take the best feasible one. *)
-let brute_force_2d c constrs =
-  let lines =
-    (* each constraint as (a, b, rhs): a x + b y <= rhs *)
-    List.map
-      (fun ct ->
-        (ct.Linprog.Simplex.coeffs.(0), ct.Linprog.Simplex.coeffs.(1),
-         ct.Linprog.Simplex.rhs))
-      constrs
-    @ [ (-1., 0., 0.); (0., -1., 0.) ]
-  in
-  let feasible (x, y) =
-    x >= -1e-7 && y >= -1e-7
-    && List.for_all (fun (a, b, r) -> (a *. x) +. (b *. y) <= r +. 1e-6) lines
-  in
-  let candidates = ref [] in
-  let n = List.length lines in
-  let arr = Array.of_list lines in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a1, b1, r1 = arr.(i) and a2, b2, r2 = arr.(j) in
-      let det = (a1 *. b2) -. (a2 *. b1) in
-      if abs_float det > 1e-9 then begin
-        let x = ((r1 *. b2) -. (r2 *. b1)) /. det in
-        let y = ((a1 *. r2) -. (a2 *. r1)) /. det in
-        if feasible (x, y) then candidates := (x, y) :: !candidates
-      end
-    done
-  done;
-  match !candidates with
-  | [] -> None
-  | pts ->
-    Some
-      (List.fold_left
-         (fun acc (x, y) -> Float.max acc ((c.(0) *. x) +. (c.(1) *. y)))
-         neg_infinity pts)
+let prop_simplex_matches_oracle =
+  QCheck.Test.make ~count:300
+    ~name:"simplex = vertex enumeration (n variables, Le/Ge/Eq)" lp_general_gen
+    (fun (n, c, rows) ->
+      let c = Array.sub c 0 n in
+      let constrs =
+        List.map
+          (fun (rel, a, r) ->
+            c_ (Array.sub a 0 n) (match rel with 0 | 1 -> le | 2 -> ge | _ -> eq) r)
+          rows
+      in
+      same_outcome (solve_max c constrs) (oracle_max c constrs))
 
 let lp_2d_gen =
   (* random bounded-feasible 2-D LP: positive coefficients guarantee
@@ -264,19 +206,6 @@ let lp_2d_gen =
       (list_of_size Gen.(int_range 1 6)
          (triple (float_range 0.1 5.) (float_range 0.1 5.)
             (float_range 0.5 20.))))
-
-let prop_simplex_matches_brute_force =
-  QCheck.Test.make ~count:300 ~name:"simplex = vertex enumeration (2D)"
-    lp_2d_gen (fun ((c1, c2), rows) ->
-      let constrs =
-        List.map (fun (a, b, r) -> c_ [| a; b |] le r) rows
-      in
-      let c = [| c1; c2 |] in
-      match (solve_max c constrs, brute_force_2d c constrs) with
-      | Linprog.Simplex.Optimal s, Some best ->
-        abs_float (s.Linprog.Simplex.objective -. best) < 1e-5
-      | Linprog.Simplex.Optimal _, None -> false
-      | _, _ -> false)
 
 let prop_solution_is_feasible =
   QCheck.Test.make ~count:300 ~name:"optimal point satisfies constraints"
@@ -307,7 +236,7 @@ let prop_duality_bound =
 (* Mixed Le/Ge systems: rows a x + b y (<=|>=) r with a, b > 0 and
    r > 0. Le rows keep the system bounded near the origin; Ge rows can
    push it infeasible, which is exactly the regime where [feasible] and
-   [maximize] must agree on the verdict. *)
+   a solve must agree on the verdict. *)
 let lp_mixed_gen =
   QCheck.(
     pair
@@ -325,7 +254,7 @@ let prop_feasible_agrees_with_maximize =
   QCheck.Test.make ~count:300 ~name:"feasible agrees with maximize status"
     lp_mixed_gen (fun ((c1, c2), rows) ->
       let constrs = mixed_constrs rows in
-      let f = Linprog.Simplex.feasible ~constrs ~nvars:2 in
+      let f = feasible ~nvars:2 constrs in
       match solve_max [| c1; c2 |] constrs with
       | Linprog.Simplex.Optimal _ | Linprog.Simplex.Unbounded -> f
       | Linprog.Simplex.Infeasible -> not f)
@@ -364,34 +293,19 @@ let prop_scaled_rows_invariant =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start solver vs the cold reference                             *)
+(* Warm-started solves vs the oracle                                   *)
 (* ------------------------------------------------------------------ *)
-
-(* Outcome classes must match; optimal objectives must agree to 1e-9
-   (relative — the two engines reach the optimum through different
-   pivot sequences, so only roundoff separates them). The optimal
-   *points* may legitimately differ on a degenerate face. *)
-let same_outcome a b =
-  match (a, b) with
-  | Linprog.Simplex.Optimal s1, Linprog.Simplex.Optimal s2 ->
-    let o1 = s1.Linprog.Simplex.objective
-    and o2 = s2.Linprog.Simplex.objective in
-    abs_float (o1 -. o2) <= 1e-9 *. (1. +. Float.max (abs_float o1) (abs_float o2))
-  | Linprog.Simplex.Unbounded, Linprog.Simplex.Unbounded -> true
-  | Linprog.Simplex.Infeasible, Linprog.Simplex.Infeasible -> true
-  | _ -> false
 
 (* lp_mixed_gen spans all three outcome classes: Le-only systems are
    bounded-feasible, Ge rows can make them infeasible, and Ge-only
    systems are unbounded above for a positive objective. *)
-let prop_solver_matches_simplex =
+let prop_solver_matches_oracle =
   QCheck.Test.make ~count:500
-    ~name:"Solver.reoptimize = Simplex.maximize (mixed Le/Ge)"
+    ~name:"Solver.reoptimize = oracle (mixed Le/Ge)"
     lp_mixed_gen (fun ((c1, c2), rows) ->
       let constrs = mixed_constrs rows in
       let c = [| c1; c2 |] in
-      let solver = Linprog.Solver.create ~nvars:2 ~constrs in
-      same_outcome (Linprog.Solver.reoptimize solver ~c) (solve_max c constrs))
+      same_outcome (solve_max c constrs) (oracle_max c constrs))
 
 let objective_seq_gen =
   QCheck.(
@@ -401,10 +315,10 @@ let objective_seq_gen =
 
 let prop_solver_objective_sequence =
   (* one instance, many objectives: every warm-started solve in the
-     sequence must match a fresh cold solve of the same LP, including
-     sign flips that turn an unbounded direction on and off *)
+     sequence must match the oracle on the same LP, including sign
+     flips that turn an unbounded direction on and off *)
   QCheck.Test.make ~count:200
-    ~name:"warm-started objective sweep matches fresh cold solves"
+    ~name:"warm-started objective sweep matches the oracle"
     objective_seq_gen (fun (((c1, c2), rows), cs) ->
       let constrs = mixed_constrs rows in
       let solver = Linprog.Solver.create ~nvars:2 ~constrs in
@@ -413,7 +327,7 @@ let prop_solver_objective_sequence =
           let c = [| a; b |] in
           same_outcome
             (Linprog.Solver.reoptimize solver ~c)
-            (solve_max c constrs))
+            (oracle_max c constrs))
         ((c1, c2) :: cs))
 
 (* Two systems sharing a structural shape (row count and relations), so
@@ -432,7 +346,7 @@ let lp_paired_gen =
 
 let prop_solver_rebuild_matches_fresh =
   QCheck.Test.make ~count:300
-    ~name:"rebuild (basis carry) matches a fresh cold solve"
+    ~name:"rebuild (basis carry) matches the oracle"
     lp_paired_gen (fun ((c1, c2), rows) ->
       let rows1 = List.map fst rows in
       let rows2 =
@@ -447,11 +361,11 @@ let prop_solver_rebuild_matches_fresh =
          something to carry (create alone only leaves a phase-1 basis) *)
       ignore (Linprog.Solver.reoptimize solver ~c);
       Linprog.Solver.rebuild solver ~constrs:constrs2;
-      same_outcome (Linprog.Solver.reoptimize solver ~c)
-        (solve_max c constrs2)
+      let expected = oracle_max c constrs2 in
+      same_outcome (Linprog.Solver.reoptimize solver ~c) expected
       && Bool.equal
            (Linprog.Solver.feasible solver)
-           (Linprog.Simplex.feasible ~nvars:2 ~constrs:constrs2))
+           (expected <> Linprog.Simplex.Infeasible))
 
 (* ------------------------------------------------------------------ *)
 (* Solver stress: basis carry across a long structurally-similar sweep *)
@@ -460,8 +374,8 @@ let prop_solver_rebuild_matches_fresh =
 (* One solver instance carried across 120 LPs that share a structural
    shape (same variable count, row count and relations, perturbed
    coefficients) — the pattern the rate-table sweeps produce. Every
-   warm outcome must match a fresh cold [Simplex.maximize] to 1e-9 and
-   the whole warm sweep must stay within the cold pivot budget (the
+   warm outcome must match the oracle to 1e-9 and the whole warm sweep
+   must stay within the pivot budget of one-shot cold solves (the
    point of carrying the basis). *)
 let test_solver_stress_basis_carry () =
   let nvars = 6 and nrows = 8 and systems = 120 in
@@ -487,12 +401,21 @@ let test_solver_stress_basis_carry () =
     let r = f () in
     (r, Telemetry.Metrics.value pivots - before)
   in
-  let cold_objs, cold_pivots =
+  let (), cold_pivots =
     measure (fun () ->
-        List.map
-          (fun (constrs, c) ->
-            (expect_optimal (solve_max c constrs)).Linprog.Simplex.objective)
+        List.iter (fun (constrs, c) -> ignore (expect_optimal (solve_max c constrs)))
           instances)
+  in
+  (* Le rows with positive coefficients bound every system, so its
+     optimum is its best vertex: no box needed *)
+  let oracle_objs =
+    List.map
+      (fun (constrs, c) ->
+        List.fold_left
+          (fun m x -> Float.max m (Lp_oracle.dot c x))
+          neg_infinity
+          (Lp_oracle.vertices ~nvars constrs))
+      instances
   in
   let warm_objs, warm_pivots =
     measure (fun () ->
@@ -507,11 +430,11 @@ let test_solver_stress_basis_carry () =
           instances)
   in
   List.iteri
-    (fun i (cold, warm) ->
-      let tol = 1e-9 *. Float.max 1. (Float.abs cold) in
-      if Float.abs (cold -. warm) > tol then
-        Alcotest.failf "system %d: cold %.12g vs warm %.12g" i cold warm)
-    (List.combine cold_objs warm_objs);
+    (fun i (oracle, warm) ->
+      let tol = 1e-9 *. Float.max 1. (Float.abs oracle) in
+      if Float.abs (oracle -. warm) > tol then
+        Alcotest.failf "system %d: oracle %.12g vs warm %.12g" i oracle warm)
+    (List.combine oracle_objs warm_objs);
   Alcotest.(check bool)
     (Printf.sprintf "warm sweep pivots (%d) within cold budget (%d)"
        warm_pivots cold_pivots)
@@ -522,17 +445,17 @@ let test_solver_stress_basis_carry () =
 (* Flat-kernel zero-allocation API: reoptimize_into                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The into-API against the cold reference, across all three outcome
-   classes (objective lands in x.(nvars)). *)
-let prop_reoptimize_into_matches_simplex =
+(* The into-API against the oracle, across all three outcome classes
+   (objective lands in x.(nvars)). *)
+let prop_reoptimize_into_matches_oracle =
   QCheck.Test.make ~count:500
-    ~name:"Solver.reoptimize_into = Simplex.maximize (mixed Le/Ge)"
+    ~name:"Solver.reoptimize_into = oracle (mixed Le/Ge)"
     lp_mixed_gen (fun ((c1, c2), rows) ->
       let constrs = mixed_constrs rows in
       let c = [| c1; c2 |] in
       let solver = Linprog.Solver.create ~nvars:2 ~constrs in
       let x = Array.make 3 0. in
-      match (Linprog.Solver.reoptimize_into solver ~c ~x, solve_max c constrs)
+      match (Linprog.Solver.reoptimize_into solver ~c ~x, oracle_max c constrs)
       with
       | Linprog.Solver.Optimal, Linprog.Simplex.Optimal s ->
         let o1 = x.(2) and o2 = s.Linprog.Simplex.objective in
@@ -705,7 +628,7 @@ let test_factored_optimal_no_tableau () =
   Alcotest.(check (list int))
     "row ops, refactor eliminations, factored solves, pivots, phase-1 skips"
     [ 0; 0; 1; 0; 1 ] deltas;
-  let s = expect_optimal (solve_max [| 1.; 1. |] (two_rows 2.)) in
+  let s = expect_optimal (oracle_max [| 1.; 1. |] (two_rows 2.)) in
   check_float ~eps:1e-12 "x" s.Linprog.Simplex.x.(0) x.(0);
   check_float ~eps:1e-12 "y" s.Linprog.Simplex.x.(1) x.(1);
   check_float ~eps:1e-12 "objective" s.Linprog.Simplex.objective x.(2);
@@ -732,7 +655,7 @@ let test_factored_infeasible_runs_phase1 () =
     "phase-1 skips, warm solves, factored solves, refactor eliminations"
     [ 0; 0; 0; 0 ] deltas;
   let s = expect_optimal outcome
-  and r = expect_optimal (solve_max [| 1.; 1. |] (two_rows ~r2:0.5 1.)) in
+  and r = expect_optimal (oracle_max [| 1.; 1. |] (two_rows ~r2:0.5 1.)) in
   check_float ~eps:1e-12 "objective" r.Linprog.Simplex.objective
     s.Linprog.Simplex.objective
 
@@ -759,11 +682,8 @@ let test_factored_partial_pivot_singular () =
           Linprog.Solver.reoptimize_into solver ~c ~x)
     in
     Alcotest.(check bool) "optimal" true (verdict = Linprog.Solver.Optimal);
-    (* to the oracle's feasibility slack, 1e-6: it accepts vertices
-       that break a row by less, here (1 + e, 0) *)
-    (match brute_force_2d c constrs with
-    | Some best -> check_float ~eps:1e-6 "objective = oracle" best x.(2)
-    | None -> Alcotest.fail "oracle found no vertex");
+    check_float ~eps:1e-9 "objective = oracle"
+      (expect_optimal (oracle_max c constrs)).Linprog.Simplex.objective x.(2);
     deltas
   in
   Alcotest.(check (list int))
@@ -858,8 +778,8 @@ let prop_factored_matches_tableau =
    - a [Solver.load] whose carried basis is infeasible runs phase 1 in
      the tableau (here an artificial must leave for the x + y >= 1
      row), and has moved the row ops by the time it returns;
-   - a one-shot [Simplex.maximize], whose kernel is dropped when it
-     returns, has moved the row ops. *)
+   - a one-shot solve, whose solver is dropped when it returns, has
+     moved the row ops. *)
 let test_kernel_counts_flushed () =
   let value = Telemetry.Metrics.value in
   let with_floor ?r2 s = c_ [| 1.; 1. |] ge 1. :: two_rows ?r2 s in
@@ -884,21 +804,21 @@ let test_kernel_counts_flushed () =
   Alcotest.(check bool) "row ops after a phase-1 load" true (value row_ops > r0);
   let r1 = value row_ops in
   ignore (expect_optimal (solve_max [| 1.; 1. |] (two_rows 1.)));
-  Alcotest.(check bool) "row ops after Simplex.maximize" true
+  Alcotest.(check bool) "row ops after a one-shot solve" true
     (value row_ops > r1)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_simplex_matches_brute_force;
+    [ prop_simplex_matches_oracle;
       prop_solution_is_feasible;
       prop_duality_bound;
       prop_feasible_agrees_with_maximize;
       prop_duplicate_rows_invariant;
       prop_scaled_rows_invariant;
-      prop_solver_matches_simplex;
+      prop_solver_matches_oracle;
       prop_solver_objective_sequence;
       prop_solver_rebuild_matches_fresh;
-      prop_reoptimize_into_matches_simplex;
+      prop_reoptimize_into_matches_oracle;
       prop_reoptimize_into_matches_reoptimize;
       prop_factored_matches_tableau;
     ]
@@ -917,13 +837,6 @@ let suites =
         Alcotest.test_case "feasibility probe" `Quick test_feasible;
         Alcotest.test_case "klee-minty 3" `Quick test_klee_minty_3;
         Alcotest.test_case "phase-duration LP shape" `Quick test_phase_duration_shape;
-      ] );
-    ( "linprog.model",
-      [ Alcotest.test_case "basic" `Quick test_model_basic;
-        Alcotest.test_case "duplicate name" `Quick test_model_duplicate_name;
-        Alcotest.test_case "repeated terms" `Quick test_model_repeated_terms;
-        Alcotest.test_case "infeasible" `Quick test_model_infeasible;
-        Alcotest.test_case "solve min" `Quick test_model_solve_min;
       ] );
     ( "linprog.solver",
       [ Alcotest.test_case "120-system basis-carry stress" `Quick

@@ -19,81 +19,24 @@ let system_name (p, kind) =
 
 (* The sum-rate LP over x = [ra; rb; d_1 .. d_L] has n = 2 + L <= 6
    variables: one row per bound term (ca ra + cb rb - sum c_l d_l <= 0),
-   the duration simplex (sum d_l = 1) and x >= 0. A vertex makes the
-   simplex row and n - 1 further constraints tight, so the optimum is
-   the best feasible point among the C(terms + n, n - 1) candidate
-   bases. *)
-type row = { a : float array; b : float }
-
-let solve_square rows n =
-  (* Gaussian elimination with partial pivoting on [A | b] *)
-  let m = Array.map (fun r -> Array.append r.a [| r.b |]) rows in
-  let ok = ref true in
-  for col = 0 to n - 1 do
-    if !ok then begin
-      let piv = ref col in
-      for i = col + 1 to n - 1 do
-        if abs_float m.(i).(col) > abs_float m.(!piv).(col) then piv := i
-      done;
-      if abs_float m.(!piv).(col) < 1e-12 then ok := false
-      else begin
-        let tmp = m.(col) in
-        m.(col) <- m.(!piv);
-        m.(!piv) <- tmp;
-        for i = 0 to n - 1 do
-          if i <> col then begin
-            let f = m.(i).(col) /. m.(col).(col) in
-            for j = col to n do
-              m.(i).(j) <- m.(i).(j) -. (f *. m.(col).(j))
-            done
-          end
-        done
-      end
-    end
-  done;
-  if !ok then Some (Array.init n (fun i -> m.(i).(n) /. m.(i).(i))) else None
-
-let rec choose k = function
-  | [] -> if k = 0 then [ [] ] else []
-  | x :: rest ->
-    if k = 0 then [ [] ]
-    else List.map (fun c -> x :: c) (choose (k - 1) rest) @ choose k rest
-
-(* Every feasible vertex of the sum-rate LP of [b]. *)
+   the duration simplex (sum d_l = 1) and x >= 0. Its optimum is the
+   best of the feasible vertices [Lp_oracle] enumerates. *)
 let vertices (b : Bidir.Bound.t) =
-  let l = b.Bidir.Bound.num_phases in
-  let n = 2 + l in
-  let term_rows =
-    List.map
-      (fun (t : Bidir.Bound.term) ->
-        { a =
-            Array.init n (fun j ->
-                if j = 0 then t.Bidir.Bound.ca
-                else if j = 1 then t.Bidir.Bound.cb
-                else -.t.Bidir.Bound.per_phase.(j - 2));
-          b = 0.;
-        })
-      b.Bidir.Bound.terms
+  let n = 2 + b.Bidir.Bound.num_phases in
+  let simplex =
+    Linprog.Simplex.constr
+      (Array.init n (fun j -> if j >= 2 then 1. else 0.))
+      Linprog.Simplex.Eq 1.
   in
-  let bound_rows =
-    List.init n (fun j ->
-        { a = Array.init n (fun i -> if i = j then 1. else 0.); b = 0. })
+  let term (t : Bidir.Bound.term) =
+    Linprog.Simplex.constr
+      (Array.init n (fun j ->
+           if j = 0 then t.Bidir.Bound.ca
+           else if j = 1 then t.Bidir.Bound.cb
+           else -.t.Bidir.Bound.per_phase.(j - 2)))
+      Linprog.Simplex.Le 0.
   in
-  let simplex = { a = Array.init n (fun j -> if j >= 2 then 1. else 0.); b = 1. } in
-  let dot a x =
-    let s = ref 0. in
-    Array.iteri (fun i ai -> s := !s +. (ai *. x.(i))) a;
-    !s
-  in
-  let feasible x =
-    Array.for_all (fun v -> v >= -1e-9) x
-    && List.for_all (fun r -> dot r.a x <= 1e-9) term_rows
-  in
-  choose (n - 1) (term_rows @ bound_rows)
-  |> List.filter_map (fun tight ->
-         match solve_square (Array.of_list (simplex :: tight)) n with
-         | Some x when feasible x -> Some x
-         | _ -> None)
+  Lp_oracle.vertices ~nvars:n (simplex :: List.map term b.Bidir.Bound.terms)
 
 (* The oracle's optimum of [wa ra + wb rb] (the sum rate by default)
    and, among the vertices attaining it, the largest ra (for the sum
@@ -160,6 +103,45 @@ let prop_template_matches_oracle =
               (system_name sys) ra rb best ra_most;
           ok)
         systems)
+
+(* Theorem 2's MABC sum rate in closed form, with no LP: with phase 1
+   of length t, the maximum over t in [0, 1] of
+     min (t c_mac, min (t c_ar, (1 - t) c_br) + min (t c_br, (1 - t) c_ar)).
+   The function is concave and piecewise linear, so the maximum is at
+   an end point, a kink of the sum (t c_ar = (1 - t) c_br, or
+   t c_br = (1 - t) c_ar), or where t c_mac crosses one of the sum's
+   linear pieces (c_ar, c_br, or (1 - t) (c_ar + c_br)). *)
+let mabc_closed_form s =
+  let l = Bidir.Gaussian.link_rates s in
+  let c_mac = l.Bidir.Gaussian.c_mac
+  and c_ar = l.Bidir.Gaussian.c_ar
+  and c_br = l.Bidir.Gaussian.c_br in
+  let f t =
+    Float.min (t *. c_mac)
+      (Float.min (t *. c_ar) ((1. -. t) *. c_br)
+      +. Float.min (t *. c_br) ((1. -. t) *. c_ar))
+  in
+  let ratio a b = if b > 0. then [ a /. b ] else [] in
+  [ [ 0.; 1. ];
+    ratio c_br (c_ar +. c_br);
+    ratio c_ar (c_ar +. c_br);
+    ratio c_ar c_mac;
+    ratio c_br c_mac;
+    ratio (c_ar +. c_br) (c_mac +. c_ar +. c_br);
+  ]
+  |> List.concat
+  |> List.filter (fun t -> t >= 0. && t <= 1.)
+  |> List.fold_left (fun m t -> Float.max m (f t)) 0.
+
+let prop_mabc_matches_theorem2 =
+  QCheck.Test.make ~count:300 ~name:"MABC sum rate = Theorem 2 closed form"
+    scenario_gen (fun s ->
+      let lp =
+        (Bidir.Optimize.sum_rate Bidir.Protocol.Mabc Bidir.Bound.Inner s)
+          .Bidir.Optimize.sum_rate
+      and exact = mabc_closed_form s in
+      abs_float (lp -. exact) <= 1e-9 *. abs_float exact
+      || QCheck.Test.fail_reportf "LP %.17g vs closed form %.17g" lp exact)
 
 (* Scenarios at the edges of the model: besides generic gains, a dead
    direct link (g_ab = 0), a symmetric relay (g_ar = g_br), both at
@@ -507,5 +489,6 @@ let suites =
         QCheck_alcotest.to_alcotest prop_template_reads_bound_fields;
         QCheck_alcotest.to_alcotest prop_all_sum_rates_match_sum_rate;
         QCheck_alcotest.to_alcotest prop_template_history_independent;
+        QCheck_alcotest.to_alcotest prop_mabc_matches_theorem2;
       ] );
   ]
