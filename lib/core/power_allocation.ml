@@ -133,14 +133,20 @@ let iter_compositions ~parts ~k f =
 let sum_rate ?(resolution = 20) ?(refinements = 4) protocol s kind =
   if resolution < 2 then invalid_arg "Power_allocation.sum_rate: resolution < 2";
   let parts = Protocol.num_phases protocol in
-  (* search over the simplex: first globally at [resolution], then
-     refined grids centred on the incumbent with shrinking radius *)
+  (* search over the simplex: from the peak-power LP optimum, then
+     globally at [resolution], then refined grids centred on the
+     incumbent with shrinking radius *)
   let best = ref (neg_infinity, 0., 0., Array.make parts (1. /. float_of_int parts)) in
   let consider deltas =
     let sum, ra, rb = evaluate protocol s kind deltas in
     let best_sum, _, _, _ = !best in
     if sum > best_sum then best := (sum, ra, rb, Array.copy deltas)
   in
+  (* the exact optimum under the peak constraint, so [Peak] is never
+     below [Optimize.sum_rate]; at the same durations every node's
+     average-energy power is P / f >= P, so [Average_energy] is never
+     below [Peak] either *)
+  consider (Optimize.sum_rate protocol Bound.Inner s).Optimize.deltas;
   iter_compositions ~parts ~k:resolution (fun counts ->
       consider
         (Array.map (fun c -> float_of_int c /. float_of_int resolution) counts));

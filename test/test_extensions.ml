@@ -433,9 +433,27 @@ let test_power_boost_consistency () =
   Alcotest.(check (float 1e-6)) "r's energy = P" scen10.Bidir.Gaussian.power
     (pr *. d.(1))
 
+(* Per power: HBC is at least the better of MABC and TDBC (it can run
+   either), and the average-energy rate is at least the peak rate. *)
 let test_boost_table_shape () =
-  let t = Bidir.Power_allocation.boost_table ~powers_db:[ 10. ] () in
-  Alcotest.(check int) "relayed protocols" 4 (List.length t.Bidir.Figures.rows)
+  let t = Bidir.Power_allocation.boost_table ~powers_db:[ 0.; 10. ] () in
+  Alcotest.(check int) "relayed protocols" 8 (List.length t.Bidir.Figures.rows);
+  let rate row col = float_of_string (List.nth row col) in
+  let peak = Hashtbl.create 8 in
+  List.iter
+    (fun row ->
+      Hashtbl.replace peak (List.nth row 0, List.nth row 1) (rate row 2);
+      if rate row 3 < rate row 2 then
+        Alcotest.failf "%s dB %s: avg-energy %s below peak %s" (List.nth row 0)
+          (List.nth row 1) (List.nth row 3) (List.nth row 2))
+    t.Bidir.Figures.rows;
+  List.iter
+    (fun p ->
+      let at name = Hashtbl.find peak (p, name) in
+      if at "HBC" < Float.max (at "MABC") (at "TDBC") then
+        Alcotest.failf "%s dB: HBC peak %.4f below max(MABC %.4f, TDBC %.4f)" p
+          (at "HBC") (at "MABC") (at "TDBC"))
+    [ "0"; "10" ]
 
 let power_allocation_cases =
   [ Alcotest.test_case "peak matches LP" `Quick test_peak_matches_lp;
