@@ -141,12 +141,13 @@ let vertices ~nvars constrs =
   List.rev !found
 
 (* The added box x_j <= box: far above every vertex the tests
-   generate, so an optimum on it means the LP is unbounded. *)
+   generate, so every feasible system has a vertex off it, and an
+   optimum on it means the LP is unbounded. *)
 let box = 1e9
 
-(* max c . x over {x >= 0 : constrs}. No vertex: [Infeasible]. A vertex
-   on the box better than every vertex off it: [Unbounded]. Otherwise
-   the first best vertex off the box. *)
+(* max c . x over {x >= 0 : constrs}. No vertex off the box:
+   [Infeasible]. A vertex on the box better than every vertex off it:
+   [Unbounded]. Otherwise the first best vertex off the box. *)
 let maximize ~c ~constrs =
   let n = Array.length c in
   let boxed =
@@ -160,18 +161,14 @@ let maximize ~c ~constrs =
       (Array.exists (fun v -> v > box /. 2.))
       (vertices ~nvars:n (constrs @ boxed))
   in
-  let best pts =
-    List.fold_left
-      (fun acc x ->
-        match acc with
-        | Some y when dot c y >= dot c x -> acc
-        | _ -> Some x)
-      None pts
-  in
-  match (best inside, best on_box) with
-  | None, None -> Linprog.Simplex.Infeasible
-  | None, Some _ -> Linprog.Simplex.Unbounded
-  | Some x, Some y
-    when dot c y > dot c x +. (1e-6 *. (1. +. abs_float (dot c x))) ->
-    Linprog.Simplex.Unbounded
-  | Some x, _ -> Linprog.Simplex.Optimal { Linprog.Simplex.x; objective = dot c x }
+  match inside with
+  | [] -> Linprog.Simplex.Infeasible
+  | first :: rest ->
+    let x =
+      List.fold_left (fun y x -> if dot c x > dot c y then x else y) first rest
+    in
+    let objective = dot c x in
+    let slack = 1e-6 *. (1. +. abs_float objective) in
+    if List.exists (fun y -> dot c y > objective +. slack) on_box then
+      Linprog.Simplex.Unbounded
+    else Linprog.Simplex.Optimal { Linprog.Simplex.x; objective }
