@@ -44,10 +44,8 @@ let kind_arg =
    LP sweeps; results are bit-identical for any N), [--stats] (print
    LP-solve and cache counters to stderr when done), [--trace FILE]
    (record spans and write a Chrome trace), [--metrics FILE] (dump
-   the full telemetry registry as JSON), [--live FILE] (stream
-   bidir-live/1 heartbeats while running; tail with `bidir top`) and
-   [--slo SPEC] (SLO watchdog thresholds evaluated at every
-   heartbeat). *)
+   the full telemetry registry as JSON) and [--live FILE] (stream
+   bidir-live/2 heartbeats while running; tail with `bidir top`). *)
 type engine_opts = {
   domains : int;
   stats : bool;
@@ -56,8 +54,6 @@ type engine_opts = {
   resource : bool;
   live : string option;
   live_interval : float;
-  slo : string list;
-  log_level : string;
 }
 
 let engine_args ?(default_domains = 1) () =
@@ -100,9 +96,9 @@ let engine_args ?(default_domains = 1) () =
   let live =
     Arg.(value & opt (some string) None
          & info [ "live" ] ~docv:"FILE"
-             ~doc:"Stream live telemetry (bidir-live/1 JSONL heartbeats: \
-                   progress, counter deltas, histogram digests, log \
-                   records) to $(docv) while running; follow it with \
+             ~doc:"Stream live telemetry (bidir-live/2 JSONL: progress \
+                   records and heartbeats carrying the metrics that \
+                   changed) to $(docv) while running; follow it with \
                    $(b,bidir top) $(docv). Observation only — outputs \
                    are byte-identical with or without it.")
   in
@@ -112,26 +108,9 @@ let engine_args ?(default_domains = 1) () =
              ~doc:"Minimum seconds between live heartbeats (default 0: \
                    emit one at every progress pulse).")
   in
-  let slo =
-    Arg.(value & opt_all string []
-         & info [ "slo" ] ~docv:"METRIC:STAT:WARN[:ERROR]"
-             ~doc:"SLO watchdog threshold, checked at every live \
-                   heartbeat: log a warning (error) record when STAT of \
-                   METRIC exceeds WARN (ERROR). STAT is one of value, \
-                   sum, mean, count, p50, p90, p99. Repeatable.")
-  in
-  let log_level =
-    Arg.(value & opt string "info"
-         & info [ "log-level" ] ~docv:"LEVEL"
-             ~doc:"Minimum structured-log level captured into the live \
-                   stream: debug, info, warn or error (default info).")
-  in
-  Term.(const (fun domains stats trace metrics resource live live_interval
-                   slo log_level ->
-            { domains; stats; trace; metrics; resource; live; live_interval;
-              slo; log_level })
-        $ domains $ stats $ trace $ metrics $ resource $ live $ live_interval
-        $ slo $ log_level)
+  Term.(const (fun domains stats trace metrics resource live live_interval ->
+            { domains; stats; trace; metrics; resource; live; live_interval })
+        $ domains $ stats $ trace $ metrics $ resource $ live $ live_interval)
 
 let write_file path content =
   let oc = open_out path in
@@ -146,35 +125,18 @@ let with_engine opts f =
   end;
   Engine.Pool.set_default_domains opts.domains;
   Engine.Stats.reset ();
-  (match Telemetry.Stream.level_of_name opts.log_level with
-  | Some lvl -> Telemetry.Log.set_level lvl
-  | None ->
-    Printf.eprintf "--log-level: unknown level %S (expected debug, info, \
-                    warn or error)\n" opts.log_level;
-    exit 2);
-  let slos =
-    List.map
-      (fun spec ->
-        match Telemetry.Log.parse_slo spec with
-        | Ok slo -> slo
-        | Error msg ->
-          Printf.eprintf "--slo %s: %s\n" spec msg;
-          exit 2)
-      opts.slo
-  in
-  if slos <> [] then Telemetry.Log.set_slos slos;
   if opts.trace <> None then Telemetry.Span.start ();
   if opts.resource then Telemetry.Resource.set_enabled true;
   (match opts.live with
   | None -> ()
-  | Some path -> Telemetry.Stream.open_live ~interval:opts.live_interval path);
+  | Some path -> Telemetry.Live.open_live ~interval:opts.live_interval path);
   let f = if opts.resource then fun () -> Telemetry.Resource.account f else f in
   Fun.protect
     ~finally:(fun () ->
       (match opts.live with
       | None -> ()
       | Some path ->
-        Telemetry.Stream.close_live ();
+        Telemetry.Live.close_live ();
         Printf.eprintf "live: wrote %s\n" path);
       (match opts.trace with
       | None -> ()
@@ -268,13 +230,13 @@ let figures_cmd =
         (* same artifacts in the same order as before, but each one runs
            under its own phase timer so `--stats` (and `--metrics`)
            report per-artifact wall time; with --live each completed
-           artifact also emits a progress event and a heartbeat pulse *)
+           artifact also notes its progress and pulses the live writer *)
         let total = 11 and completed = ref 0 in
         let t0 = Unix.gettimeofday () in
         let step id f =
           Engine.Stats.timed ("artifact:" ^ id) f;
           incr completed;
-          if Telemetry.Stream.enabled () then begin
+          if Telemetry.Live.is_open () then begin
             let elapsed = Unix.gettimeofday () -. t0 in
             let rate =
               if elapsed > 0. then float_of_int !completed /. elapsed else 0.
@@ -283,10 +245,10 @@ let figures_cmd =
               if rate > 0. then Some (float_of_int (total - !completed) /. rate)
               else None
             in
-            Telemetry.Stream.note_progress ~name:"figures"
+            Telemetry.Live.note_progress ~name:"figures"
               ~completed:!completed ~total ~rate ?eta_seconds ()
           end;
-          Telemetry.Stream.pulse_live ()
+          Telemetry.Live.pulse_live ()
         in
         List.iter
           (fun id -> step id (fun () -> one id))
@@ -891,8 +853,8 @@ let network_cmd =
     (* three coarse live-progress stages: the rate table dominates the
        wall time (pairs * relays * protocols rate-region solves) *)
     let stage completed =
-      Telemetry.Stream.note_progress ~name:"network" ~completed ~total:3 ();
-      Telemetry.Stream.pulse_live ()
+      Telemetry.Live.note_progress ~name:"network" ~completed ~total:3 ();
+      Telemetry.Live.pulse_live ()
     in
     let table = Network.Assign.rate_table scenario in
     stage 1;
@@ -1004,13 +966,13 @@ let check_workload () =
   Telemetry.Resource.set_enabled true;
   (* stream to a throwaway live file so the telemetry.stream.* counters
      are exercised and gated: the campaign leg below runs 4 batches, so
-     exactly 4 progress events and 5 heartbeats (one per batch plus the
-     closing flush) — and a zero drop budget — are part of the baseline *)
+     exactly 4 progress records and 5 heartbeats (one per batch plus the
+     closing flush) are part of the baseline *)
   let live_tmp = Filename.temp_file "bidir-check-live" ".jsonl" in
-  Telemetry.Stream.open_live ~interval:0. live_tmp;
+  Telemetry.Live.open_live ~interval:0. live_tmp;
   Fun.protect
     ~finally:(fun () ->
-      Telemetry.Stream.close_live ();
+      Telemetry.Live.close_live ();
       try Sys.remove live_tmp with Sys_error _ -> ())
   @@ fun () ->
   Telemetry.Resource.account @@ fun () ->
@@ -1160,12 +1122,8 @@ let check_cmd =
           an identical sample count and a mean within $(b,--tolerance) \
           percent; the gc.* process totals are ignored.";
       `P "The workload also streams to a throwaway live file, so the \
-          telemetry.stream.* counters are part of the baseline: event \
-          and heartbeat counts compare exactly, and \
-          telemetry.stream.dropped_events gates one-sided with a zero \
-          budget — the check workload must never drop a live event. The \
-          heartbeat-timing histogram (telemetry.stream.flush_seconds) \
-          is ignored.";
+          telemetry.stream.* counters are part of the baseline: the \
+          progress-record and heartbeat counts compare exactly.";
       `P "Exits 0 when the diff has no violations, 1 on regression, 2 on \
           usage or IO errors.";
     ]
@@ -1504,13 +1462,13 @@ let top_cmd =
   let doc = "Tail a live telemetry file and render a refreshing dashboard." in
   let man =
     [ `S Manpage.s_description;
-      `P "Reads the bidir-live/1 JSONL stream that a concurrent run \
+      `P "Reads the bidir-live/2 JSONL stream that a concurrent run \
           ($(b,bidir campaign --live), $(b,bidir figures all --live), \
-          $(b,bidir network --live)) appends to, and renders progress, \
-          throughput, confidence-interval width, ETA, latency digests, \
-          pool utilization and recent warnings, refreshing every \
-          $(b,--refresh) seconds until the writer's final record \
-          arrives.";
+          $(b,bidir network --live), $(b,bidir serve --live)) appends \
+          to, and renders progress, throughput, confidence-interval \
+          width, ETA, latency percentiles and pool utilization, \
+          refreshing every $(b,--refresh) seconds until the writer's \
+          final record arrives.";
       `P "$(b,--once) renders exactly one frame from the file's current \
           contents and exits — the frame is a pure function of the file \
           bytes, so it is usable (and diffable) in CI.";

@@ -363,16 +363,16 @@ let run (cfg : config) (w : workload) =
     }
   in
   let emit_progress () =
-    if Option.is_some cfg.on_progress || Telemetry.Stream.enabled () then begin
+    if Option.is_some cfg.on_progress || Telemetry.Live.is_open () then begin
       let p = progress_now () in
       (match cfg.on_progress with Some f -> f p | None -> ());
-      Telemetry.Stream.note_progress ~name:("campaign:" ^ w.name)
+      Telemetry.Live.note_progress ~name:("campaign:" ^ w.name)
         ~completed:p.completed ~total:p.target ~rate:p.rate
         ?ci_half_width:p.max_half_width ?ci_target:p.ci_target
         ?eta_seconds:p.eta_seconds ()
     end;
-    (* heartbeat (and SLO watchdog) at every batch boundary *)
-    Telemetry.Stream.pulse_live ()
+    (* a live heartbeat at every batch boundary *)
+    Telemetry.Live.pulse_live ()
   in
   let stopped_early = ref false in
   (* With no checkpoint, no stopping rule, no progress consumer and no
@@ -384,7 +384,7 @@ let run (cfg : config) (w : workload) =
   let fused =
     cfg.checkpoint = None && cfg.ci_target = None
     && Option.is_none cfg.on_progress
-    && not (Telemetry.Stream.enabled ())
+    && not (Telemetry.Live.is_open ())
   in
   if fused then begin
     let remaining = cfg.replications - st.completed in

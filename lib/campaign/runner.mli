@@ -82,8 +82,8 @@ type config = {
   on_progress : (progress -> unit) option;
       (** called on the campaign's domain at every batch boundary;
           observation-only (must not mutate campaign state). With a
-          hook installed — or the live {!Telemetry.Stream} enabled —
-          the runner also emits a [campaign:<workload>] progress event
+          hook installed — or a {!Telemetry.Live} writer open — the
+          runner also notes a [campaign:<workload>] progress record
           and pulses the live writer per batch. *)
 }
 

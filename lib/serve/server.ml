@@ -246,12 +246,14 @@ let run cfg =
     (match cfg.max_requests with
     | Some cap when !served >= cap -> stop := true
     | _ -> ());
-    let elapsed = Unix.gettimeofday () -. t_start in
-    Telemetry.Stream.note_progress ~name:"serve" ~completed:!served
-      ~total:(Option.value ~default:0 cfg.max_requests)
-      ~rate:(if elapsed > 0. then float_of_int !served /. elapsed else 0.)
-      ();
-    Telemetry.Stream.pulse_live ()
+    if Telemetry.Live.is_open () then begin
+      let elapsed = Unix.gettimeofday () -. t_start in
+      Telemetry.Live.note_progress ~name:"serve" ~completed:!served
+        ~total:(Option.value ~default:0 cfg.max_requests)
+        ~rate:(if elapsed > 0. then float_of_int !served /. elapsed else 0.)
+        ();
+      Telemetry.Live.pulse_live ()
+    end
   done;
   List.iter
     (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())

@@ -1,91 +1,120 @@
-(** Reader side of the [bidir-live/1] live-file schema: parse, fold
-    and render — the engine behind [bidir top].
+(** The [bidir-live/2] live file: the one module that writes it, reads
+    it back and renders it for [bidir top].
 
-    A {!state} folds live-file lines in order: heartbeat counter
-    deltas sum into running totals, histogram digests replace the
-    previous cumulative digest, the latest progress record wins, and
-    warn/error log records accumulate into a bounded recent-warnings
-    ring (O(1) per record). Unknown record types are skipped (forward
-    compatibility); unparseable lines — and records missing a required
-    field, e.g. a truncated heartbeat without [seq] or a counter
-    without [delta] — are counted as parse errors and applied not at
-    all, never partially.
+    A run started with [--live FILE] opens the process-wide writer
+    ({!open_live}). Instrumented loops (the campaign runner's batches,
+    [figures all]'s artifacts, [network]'s stages, [serve]'s select
+    loop) note their progress ({!note_progress}) and pulse the writer
+    ({!pulse_live}). A pulse at least [interval] seconds after the
+    previous heartbeat writes one: first the latest progress record
+    noted since the previous heartbeat, if any, then a [heartbeat]
+    record whose [registry] is a {!Snapshot} of the metrics that
+    changed since the previous heartbeat (the first carries the whole
+    registry): counters at their cumulative values, histograms at full
+    state. {!close_live} writes one last heartbeat and the [final]
+    record. Streaming is observation-only: command outputs are
+    byte-identical with it on or off, at any domain count.
 
-    {!render} and {!to_json} are pure functions of the state — all
-    timing comes from the file's own timestamps, never the wall clock
-    — so [bidir top --once] produces a deterministic frame for CI. *)
+    Record shapes (one JSON object per line):
+    {v
+    {"schema":"bidir-live/2","record":"start","t":T,"interval":S}
+    {"record":"progress","t":T,"name":N,"completed":C,"total":M,
+     "rate":R,"ci":HW|null,"ci_target":W|null,"eta":E|null}
+    {"record":"heartbeat","t":T,"seq":K,"registry":SNAPSHOT}
+    {"record":"final","t":T,"heartbeats":K,"events":N}
+    v}
+    [events] counts the progress records written.
 
-type state
+    The writer belongs to the main domain. {!open_live} raises
+    [Invalid_argument] on any other domain, and so do {!note_progress},
+    {!pulse_live} and {!close_live} while a writer is open. With none
+    open they return at once, from any domain, after one load. *)
+
+val schema : string
+(** ["bidir-live/2"]. *)
 
 type progress = {
-  pr_t : float;
-  pr_name : string;
-  pr_completed : int;
-  pr_total : int;
-  pr_rate : float;
-  pr_ci : float option;
-  pr_ci_target : float option;
-  pr_eta : float option;
+  t : float;                 (** absolute unix time *)
+  name : string;             (** "campaign:runner", "figures", … *)
+  completed : int;
+  total : int;
+  rate : float;              (** units per second; 0 when unknown *)
+  ci : float option;         (** widest 95% half-width so far *)
+  ci_target : float option;
+  eta : float option;        (** seconds *)
 }
 
-type digest = {
-  di_count : int;
-  di_sum : float;
-  di_p50 : float;
-  di_p90 : float;
-  di_p99 : float;
-}
+(** {1 Writing} *)
+
+val open_live : ?interval:float -> string -> unit
+(** Close any open writer, then truncate the file and write the [start]
+    record. [interval] (default 0) is the minimum number of seconds
+    between heartbeats; 0 makes every pulse write one. *)
+
+val is_open : unit -> bool
+(** A live writer is open. *)
+
+val note_progress :
+  name:string -> completed:int -> total:int -> ?rate:float ->
+  ?ci_half_width:float -> ?ci_target:float -> ?eta_seconds:float ->
+  unit -> unit
+(** Keep this progress, stamped with the current time, for the next
+    heartbeat; it replaces one noted before. A no-op with no writer. *)
+
+val pulse_live : unit -> unit
+(** Write a heartbeat if the interval has elapsed since the last one.
+    Counts [telemetry.stream.heartbeats], and
+    [telemetry.stream.events] for the progress record. *)
+
+val close_live : unit -> unit
+(** One last heartbeat, the [final] record, and close the file. *)
+
+(** {1 Reading} *)
+
+type state
 
 val create : unit -> state
 
 val feed_line : state -> string -> unit
-(** Fold one line (blank lines are skipped). *)
+(** Fold one line (blank lines are skipped). Counters and histograms
+    in a heartbeat's registry replace those of the same name. Unknown
+    record kinds are skipped. A line that is not JSON, and a record
+    with a required field missing or ill-typed, is one parse error and
+    changes nothing else: [record] everywhere, the [schema] of
+    [start], [completed] and [total] of [progress], [seq] and a
+    [registry] that {!Snapshot.of_json} accepts in [heartbeat],
+    [heartbeats] and [events] in [final]. *)
 
 val feed_string : state -> string -> unit
 (** Fold every line of a chunk of file contents. *)
 
-val schema : state -> string option
-(** The schema declared by the [start] record, once seen. *)
-
-val started_at : state -> float option
 val last_t : state -> float
-val elapsed : state -> float
-(** [last_t - started_at]; 0 before the start record. *)
+(** Latest timestamp of an applied record; 0 before any. *)
 
 val heartbeats : state -> int
 val finished : state -> bool
 (** The [final] record has been seen. *)
 
-val dropped : state -> int
-(** Dropped-event count from the [final] record (0 until then). *)
-
 val records : state -> int
-(** Records parsed and applied successfully. *)
+(** Records applied. *)
 
 val parse_errors : state -> int
-(** Lines that failed to parse as JSON, plus records whose required
-    fields ([record], and per type e.g. [completed]/[total], [delta],
-    [count], [seq], [dropped_events]) were missing or ill-typed. *)
 
 val monotone : state -> bool
-(** No progress record ever went backwards and heartbeat sequence
-    numbers strictly increased — the invariants CI validates. *)
+(** No progress record went backwards and heartbeat [seq] numbers
+    strictly increased. *)
 
 val progress : state -> progress option
-val counters : state -> (string * int) list
-(** Name-sorted running totals of the heartbeat counter deltas. *)
+(** The latest progress record. *)
 
-val digests : state -> (string * digest) list
-(** Name-sorted latest cumulative digests. *)
-
-val warnings : state -> (float * string * string) list
-(** Most recent warn/error records, newest first, capped at 8:
-    [(t, level, message)]. *)
+val registry : state -> Snapshot.t
+(** Every counter and histogram folded so far, name-sorted. *)
 
 val render : state -> string
-(** Multi-line dashboard frame: progress bar + ETA, throughput, CI
-    half-width vs target, latency digests, pool busy/idle, GC totals,
-    recent warnings. Deterministic for a given file. *)
+(** Multi-line frame: progress bar and ETA, throughput, CI half-width
+    against its target, percentiles of the non-empty [*_seconds]
+    histograms, pool busy/idle, GC totals.
+    A pure function of the records fed, never of the wall clock. *)
 
 val to_json : state -> Json.t
-(** The same frame as a JSON object (for [bidir top --once --json]). *)
+(** The same frame as JSON (for [bidir top --once --json]). *)

@@ -127,10 +127,7 @@ let budget_counters =
     "network.assignment_pivots"; "linprog.alloc_bytes";
     (* flat-kernel element updates (pivot row scale + eliminations):
        the FLOP-scale work budget behind linprog.pivots *)
-    "linprog.kernel_row_ops";
-    (* live streaming must never lose events on the check workload:
-       0 = 0 passes, and any drop regresses one-sided *)
-    "telemetry.stream.dropped_events" ]
+    "linprog.kernel_row_ops" ]
 
 (* Informational distributions: the pool's per-map chunk-balance
    ratio (pure scheduling noise), and two retired names. *)
@@ -141,15 +138,18 @@ let ignored_histograms =
        keeps those baselines from reporting them Missing *)
     "linprog.pivots_per_solve"; "linprog.pivots_per_warm_solve";
     "engine.pool.chunk_imbalance";
-    (* heartbeat flush timing: pure wall-clock noise whose sample count
-       tracks the heartbeat schedule, not the computation *)
+    (* retired: the live writer's heartbeat timer *)
     "telemetry.stream.flush_seconds" ]
 
-(* Counters whose value depends on wall-clock timing rather than the
-   computation (rate-limiter suppression counts), and one retired name:
-   [engine.lp_solves] duplicated [linprog.solves] and is no longer
-   registered, but baselines written before still carry it. *)
-let ignored_counters = [ "telemetry.log.suppressed"; "engine.lp_solves" ]
+(* Retired counters: no longer registered, but baselines written before
+   still carry them, and ignoring the names keeps those baselines from
+   reporting them Missing. [engine.lp_solves] duplicated
+   [linprog.solves]; the others counted the live event ring's drops and
+   the leveled logger's records. *)
+let ignored_counters =
+  [ "engine.lp_solves"; "telemetry.stream.dropped_events";
+    "telemetry.log.debug"; "telemetry.log.info"; "telemetry.log.warn";
+    "telemetry.log.error"; "telemetry.log.suppressed" ]
 
 (* Seconds-valued resource budgets: gated one-sided on their sum, like
    Budget counters, but with slack for scheduler noise. Checked before

@@ -77,16 +77,19 @@ val default_policy : ?tolerance:float -> unit -> policy
     [linprog.refactor_eliminations], [network.assignment_pivots] and
     [linprog.alloc_bytes], which are [Budget] (a regression fails the
     gate; an improvement passes without a baseline refresh), and the
-    [gc.*] process totals, which are [Ignore] (they move with any code
-    change; the gated slice is [linprog.alloc_bytes]). Histograms:
+    [gc.*] process totals and the retired counters ([engine.lp_solves],
+    [telemetry.stream.dropped_events], [telemetry.log.*], still present
+    in older baselines), which are [Ignore] (GC totals move with any
+    code change; the gated slice is [linprog.alloc_bytes]). Histograms:
     [campaign.pool_idle_seconds] is [Budget] (one-sided on its sum);
     names ending in [_seconds] / [.seconds] or starting with [phase.]
     get [Time_band tolerance] (default 0.5, i.e. ±50%) — this covers
     the [engine.pool.*_seconds] utilization histograms; the
     scheduling-noise ratio [engine.pool.chunk_imbalance] and the
     retired per-solve pivot distributions ([linprog.pivots_per_solve],
-    [linprog.pivots_per_warm_solve], still present in older
-    baselines) are [Ignore]; every other histogram is [Exact]. *)
+    [linprog.pivots_per_warm_solve]) and heartbeat timer
+    ([telemetry.stream.flush_seconds]), still present in older
+    baselines, are [Ignore]; every other histogram is [Exact]. *)
 
 type value =
   | Counter of int

@@ -265,23 +265,15 @@ let test_fused_path_byte_identical () =
     (run ~on_progress:(fun _ -> ()) 4);
   Alcotest.(check string) "fused, 4 domains" fused (run 4)
 
-(* Live streaming on: the runner emits per-batch progress events and
-   heartbeats into the live file without changing the result. *)
-let test_streaming_byte_identical () =
+(* Run [f] with a live writer on a temporary file (every pulse writes
+   a heartbeat); return its result and the file folded by the reader. *)
+let with_live f =
   let path = Filename.temp_file "campaign_live" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let run () =
-    render
-      (R.run (R.default_config ~seed:7 ~batch:16 ~replications:32 ())
-         synthetic)
-  in
-  let off = run () in
-  ignore (Telemetry.Stream.drain () : Telemetry.Stream.event list);
-  Telemetry.Stream.open_live ~interval:0. path;
-  let on = Fun.protect ~finally:Telemetry.Stream.close_live run in
-  Alcotest.(check string) "streaming is observation-only" off on;
+  Telemetry.Live.open_live ~interval:0. path;
+  let result = Fun.protect ~finally:Telemetry.Live.close_live f in
   let st = Telemetry.Live.create () in
   let ic = open_in path in
   Fun.protect
@@ -292,19 +284,71 @@ let test_streaming_byte_identical () =
           Telemetry.Live.feed_line st (input_line ic)
         done
       with End_of_file -> ());
-  Alcotest.(check (option string)) "live schema" (Some "bidir-live/1")
-    (Telemetry.Live.schema st);
-  Alcotest.(check bool) "one heartbeat per batch plus the close" true
-    (Telemetry.Live.heartbeats st >= 3);
+  (result, st)
+
+(* Live streaming on: the runner notes per-batch progress and pulses
+   heartbeats into the live file without changing the result. *)
+let test_streaming_byte_identical () =
+  let run () =
+    render
+      (R.run (R.default_config ~seed:7 ~batch:16 ~replications:32 ())
+         synthetic)
+  in
+  let off = run () in
+  let on, st = with_live run in
+  Alcotest.(check string) "streaming is observation-only" off on;
+  Alcotest.(check int) "no parse errors" 0 (Telemetry.Live.parse_errors st);
+  Alcotest.(check int) "one heartbeat per batch plus the close" 3
+    (Telemetry.Live.heartbeats st);
   Alcotest.(check bool) "monotone" true (Telemetry.Live.monotone st);
   Alcotest.(check bool) "finished" true (Telemetry.Live.finished st);
   match Telemetry.Live.progress st with
   | Some p ->
     Alcotest.(check string) "progress stream name" "campaign:synthetic"
-      p.Telemetry.Live.pr_name;
-    Alcotest.(check int) "ran to completion" 32
-      p.Telemetry.Live.pr_completed
+      p.Telemetry.Live.name;
+    Alcotest.(check int) "ran to completion" 32 p.Telemetry.Live.completed
   | None -> Alcotest.fail "no progress in the live file"
+
+(* Between them the heartbeats carry the whole registry: after a
+   4-batch campaign, the registry folded from the live file is the one
+   captured after the writer closed. The writer's own telemetry.stream.*
+   counters are left out: the last heartbeat counts itself after it is
+   written. *)
+let test_live_registry_is_final_snapshot () =
+  let module S = Telemetry.Snapshot in
+  let own (name, _) = String.starts_with ~prefix:"telemetry.stream." name in
+  let strip (s : S.t) =
+    { s with
+      counters = List.filter (fun m -> not (own m)) s.counters;
+      histograms = List.filter (fun m -> not (own m)) s.histograms;
+    }
+  in
+  List.iter
+    (fun domains ->
+      let (), st =
+        with_live (fun () ->
+            ignore
+              (R.run
+                 (R.default_config ~seed:11 ~domains ~batch:8
+                    ~replications:32 ())
+                 synthetic
+                : R.result))
+      in
+      let final = S.capture () in
+      Alcotest.(check int)
+        (Printf.sprintf "%d domains: 4 batches, 5 heartbeats" domains)
+        5 (Telemetry.Live.heartbeats st);
+      let d = S.diff (strip final) (strip (Telemetry.Live.registry st)) in
+      List.iter
+        (fun c ->
+          if c.S.status <> S.Match then
+            Alcotest.failf "%d domains: %s differs (%s)" domains c.S.metric
+              c.S.detail)
+        d.S.comparisons;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains: folded registry identical" domains)
+        true (S.identical d))
+    [ 1; 4 ]
 
 let suites =
   [ ( "campaign.determinism",
@@ -334,5 +378,7 @@ let suites =
           `Quick test_fused_path_byte_identical;
         Alcotest.test_case "live streaming is observation-only" `Quick
           test_streaming_byte_identical;
+        Alcotest.test_case "live registry = final snapshot, domains 1/4"
+          `Quick test_live_registry_is_final_snapshot;
       ] );
   ]

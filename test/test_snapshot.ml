@@ -213,13 +213,31 @@ let test_pool_idle_budget_histogram () =
 
 (* [engine.lp_solves] is no longer registered: a baseline written
    while it was still carries it, and must not report it missing. *)
+(* Names no longer registered that older baselines still carry: the
+   counters of the retired live event ring and leveled logger, and the
+   heartbeat timer. *)
+let retired_counters =
+  [ "engine.lp_solves"; "telemetry.stream.dropped_events";
+    "telemetry.log.debug"; "telemetry.log.info"; "telemetry.log.warn";
+    "telemetry.log.error"; "telemetry.log.suppressed" ]
+
 let test_retired_lp_solves_ignored () =
-  let base = snap [] [ ("engine.lp_solves", 455); ("linprog.solves", 455) ] in
+  let retired_hist = "telemetry.stream.flush_seconds" in
+  let base =
+    snap
+      [ (retired_hist, hist_of [ 1e-4 ]) ]
+      (("linprog.solves", 455) :: List.map (fun n -> (n, 3)) retired_counters)
+  in
   let cur = snap [] [ ("linprog.solves", 455) ] in
   let d = S.diff base cur in
   Alcotest.(check bool) "old baseline reads cleanly" true (S.ok d);
-  Alcotest.(check bool) "rule is Ignore" true
-    ((find_cmp d "engine.lp_solves").S.rule = S.Ignore)
+  List.iter
+    (fun name ->
+      let c = find_cmp d name in
+      Alcotest.(check bool) (name ^ " rule is Ignore") true (c.S.rule = S.Ignore);
+      Alcotest.(check bool) (name ^ " is not Missing") true
+        (c.S.status = S.Match))
+    (retired_hist :: retired_counters)
 
 let test_chunk_imbalance_ignored () =
   let name = "engine.pool.chunk_imbalance" in

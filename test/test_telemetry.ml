@@ -1,7 +1,8 @@
 (* Tests for the telemetry subsystem: log-bucket histograms, the
-   metrics registry, the JSON emitter/parser, hierarchical spans and
-   the Chrome-trace sink — including the guarantee that the span set a
-   workload produces is independent of the pool's domain count. *)
+   metrics registry, the JSON emitter/parser, the live file,
+   hierarchical spans and the Chrome-trace sink — including the
+   guarantee that the span set a workload produces is independent of
+   the pool's domain count. *)
 
 module H = Telemetry.Histogram
 module J = Telemetry.Json
@@ -765,128 +766,11 @@ let json_roundtrip_prop =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Stream: ring semantics, overflow accounting, concurrent producers    *)
-(* ------------------------------------------------------------------ *)
-
-module S = Telemetry.Stream
-
-let counter_event i =
-  S.Counter_delta { cd_t = 0.; cd_name = "test.stream.ev"; cd_delta = i }
-
-let delta_of = function
-  | S.Counter_delta { cd_delta; _ } -> cd_delta
-  | _ -> Alcotest.fail "expected Counter_delta"
-
-let test_stream_disabled_noop () =
-  ignore (S.drain () : S.event list);
-  S.with_enabled false (fun () ->
-      let d0 = S.dropped_events () in
-      Alcotest.(check bool) "emit refused" false (S.emit (counter_event 0));
-      S.note_progress ~name:"x" ~completed:1 ~total:2 ();
-      Alcotest.(check int) "nothing buffered" 0 (List.length (S.drain ()));
-      Alcotest.(check int) "nothing counted as dropped" d0
-        (S.dropped_events ()))
-
-let test_stream_fifo_and_overflow () =
-  S.with_enabled true (fun () ->
-      ignore (S.drain () : S.event list);
-      let d0 = S.dropped_events () in
-      let extra = 100 in
-      let accepted = ref 0 in
-      for i = 0 to S.capacity + extra - 1 do
-        if S.emit (counter_event i) then incr accepted
-      done;
-      Alcotest.(check int) "ring accepts exactly its capacity" S.capacity
-        !accepted;
-      Alcotest.(check int) "drops counted" extra (S.dropped_events () - d0);
-      let evs = S.drain () in
-      Alcotest.(check int) "drain returns the ring" S.capacity
-        (List.length evs);
-      (* FIFO: the oldest [capacity] events, in emission order *)
-      List.iteri
-        (fun i ev -> Alcotest.(check int) "order" i (delta_of ev))
-        evs;
-      (* and the ring is usable again after a full drain *)
-      Alcotest.(check bool) "accepts after drain" true
-        (S.emit (counter_event 0));
-      ignore (S.drain () : S.event list))
-
-let test_stream_concurrent_producers () =
-  S.with_enabled true (fun () ->
-      ignore (S.drain () : S.event list);
-      let d0 = S.dropped_events () in
-      let producers = 4 and per = 500 in
-      let mk p =
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              ignore
-                (S.emit
-                   (S.Counter_delta
-                      { cd_t = 0.;
-                        cd_name = "p" ^ string_of_int p;
-                        cd_delta = i;
-                      }))
-            done)
-      in
-      let doms = List.init producers mk in
-      List.iter Domain.join doms;
-      let evs = S.drain () in
-      Alcotest.(check int) "under capacity: nothing dropped" 0
-        (S.dropped_events () - d0);
-      Alcotest.(check int) "all received" (producers * per)
-        (List.length evs);
-      (* per-producer FIFO: each producer's events appear in its own
-         emission order, however the interleaving went *)
-      for p = 0 to producers - 1 do
-        let name = "p" ^ string_of_int p in
-        let mine =
-          List.filter_map
-            (function
-              | S.Counter_delta { cd_name; cd_delta; _ }
-                when cd_name = name ->
-                Some cd_delta
-              | _ -> None)
-            evs
-        in
-        Alcotest.(check (list int))
-          (name ^ " in order")
-          (List.init per Fun.id) mine
-      done)
-
-let test_stream_concurrent_overflow () =
-  S.with_enabled true (fun () ->
-      ignore (S.drain () : S.event list);
-      let d0 = S.dropped_events () in
-      let producers = 4 in
-      let per = (S.capacity / producers) + 1_000 in
-      let doms =
-        List.init producers (fun p ->
-            Domain.spawn (fun () ->
-                for i = 0 to per - 1 do
-                  ignore
-                    (S.emit
-                       (S.Counter_delta
-                          { cd_t = 0.;
-                            cd_name = "q" ^ string_of_int p;
-                            cd_delta = i;
-                          }))
-                done))
-      in
-      List.iter Domain.join doms;
-      let received = List.length (S.drain ()) in
-      let dropped = S.dropped_events () - d0 in
-      (* conservation: every emitted event was either buffered or
-         counted as dropped, never silently lost *)
-      Alcotest.(check int) "received + dropped = pushed" (producers * per)
-        (received + dropped);
-      Alcotest.(check bool) "ring filled" true (received <= S.capacity);
-      Alcotest.(check bool) "some drops happened" true (dropped > 0))
-
-(* ------------------------------------------------------------------ *)
-(* Writer + Live reader: a run's live file round-trips                  *)
+(* Live file: writer, strict reader and frame                          *)
 (* ------------------------------------------------------------------ *)
 
 module L = Telemetry.Live
+module Snap = Telemetry.Snapshot
 
 let read_lines path =
   let ic = open_in path in
@@ -900,73 +784,114 @@ let read_lines path =
       in
       go [])
 
-let test_live_file_roundtrip () =
+(* run [f] with a fresh temporary path, closing any writer it left open *)
+let with_live_file f =
   let path = Filename.temp_file "bidir-test-live" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  S.with_enabled true (fun () ->
-      ignore (S.drain () : S.event list);
-      let w = S.Writer.create ~path () in
-      S.note_progress ~name:"unit" ~completed:1 ~total:2 ~rate:10.
-        ~eta_seconds:0.1 ();
-      S.Writer.pulse w;
-      S.note_progress ~name:"unit" ~completed:2 ~total:2 ~rate:10.
-        ~eta_seconds:0. ();
-      S.Writer.pulse w;
-      S.Writer.close w;
-      S.Writer.close w (* idempotent *));
+  Fun.protect
+    ~finally:(fun () ->
+      L.close_live ();
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let records_of path =
+  List.map
+    (fun line ->
+      match J.parse line with
+      | Ok j -> j
+      | Error m -> Alcotest.failf "live line not JSON: %s" m)
+    (read_lines path)
+
+let kind j =
+  match J.member "record" j with Some (J.String k) -> k | _ -> "?"
+
+let heartbeat_registry j =
+  match Option.map Snap.of_json (J.member "registry" j) with
+  | Some (Ok r) -> r
+  | _ -> Alcotest.fail "heartbeat without a snapshot registry"
+
+let hist_of values =
+  let h = H.create () in
+  List.iter (H.observe h) values;
+  h
+
+let int_field k j =
+  match J.member k j with
+  | Some (J.Int i) -> i
+  | _ -> Alcotest.failf "field %S missing" k
+
+let test_live_file_roundtrip () =
   let st = L.create () in
-  List.iter (L.feed_line st) (read_lines path);
-  Alcotest.(check (option string)) "schema" (Some "bidir-live/1")
-    (L.schema st);
+  with_live_file (fun path ->
+      L.open_live path;
+      L.note_progress ~name:"unit" ~completed:1 ~total:2 ~rate:10.
+        ~eta_seconds:0.1 ();
+      L.pulse_live ();
+      L.note_progress ~name:"unit" ~completed:2 ~total:2 ~rate:10.
+        ~eta_seconds:0. ();
+      L.pulse_live ();
+      L.close_live ();
+      L.close_live () (* idempotent *);
+      List.iter (L.feed_line st) (read_lines path));
   Alcotest.(check int) "no parse errors" 0 (L.parse_errors st);
-  Alcotest.(check bool) "at least two heartbeats" true (L.heartbeats st >= 2);
+  Alcotest.(check int) "three heartbeats" 3 (L.heartbeats st);
   Alcotest.(check bool) "finished" true (L.finished st);
   Alcotest.(check bool) "monotone" true (L.monotone st);
-  Alcotest.(check int) "no drops" 0 (L.dropped st);
   (match L.progress st with
   | Some p ->
-    Alcotest.(check int) "latest completed" 2 p.L.pr_completed;
-    Alcotest.(check int) "total" 2 p.L.pr_total
+    Alcotest.(check int) "latest completed" 2 p.L.completed;
+    Alcotest.(check int) "total" 2 p.L.total
   | None -> Alcotest.fail "no progress survived the round trip");
   (* the frame is a pure function of the file *)
   Alcotest.(check string) "render deterministic" (L.render st) (L.render st);
   match J.parse (J.to_string (L.to_json st)) with
-  | Ok _ -> ()
+  | Ok j ->
+    Alcotest.(check bool) "frame names the schema" true
+      (J.member "schema" j = Some (J.String "bidir-live/2"))
   | Error m -> Alcotest.failf "to_json not parseable: %s" m
+
+(* a heartbeat line carrying [counters] and [histograms] as a registry *)
+let heartbeat_line ?(t = 1.0) ~seq counters histograms =
+  J.to_string
+    (J.Obj
+       [ ("record", J.String "heartbeat");
+         ("t", J.Float t);
+         ("seq", J.Int seq);
+         ( "registry",
+           Snap.to_json
+             { Snap.label = ""; created_at = t; counters; histograms } );
+       ])
 
 let test_live_monotone_violation () =
   let st = L.create () in
   L.feed_string st
-    "{\"schema\":\"bidir-live/1\",\"record\":\"start\",\"t\":1.0,\"interval\":0.0}\n\
+    "{\"schema\":\"bidir-live/2\",\"record\":\"start\",\"t\":1.0,\"interval\":0.0}\n\
      {\"record\":\"progress\",\"t\":2.0,\"name\":\"x\",\"completed\":5,\"total\":9,\"rate\":1.0,\"ci\":null,\"ci_target\":null,\"eta\":null}\n\
      {\"record\":\"progress\",\"t\":3.0,\"name\":\"x\",\"completed\":3,\"total\":9,\"rate\":1.0,\"ci\":null,\"ci_target\":null,\"eta\":null}\n";
   Alcotest.(check bool) "regressing progress flagged" false (L.monotone st);
   let st2 = L.create () in
-  L.feed_string st2
-    "{\"record\":\"heartbeat\",\"t\":1.0,\"seq\":2,\"counters\":{},\"histograms\":{}}\n\
-     {\"record\":\"heartbeat\",\"t\":2.0,\"seq\":2,\"counters\":{},\"histograms\":{}}\n";
+  List.iter (L.feed_line st2)
+    [ heartbeat_line ~seq:2 [] []; heartbeat_line ~t:2.0 ~seq:2 [] [] ];
   Alcotest.(check bool) "non-increasing seq flagged" false (L.monotone st2);
   (* garbage lines count as parse errors without killing the fold *)
   let st3 = L.create () in
-  L.feed_string st3 "not json at all\n{\"record\":\"heartbeat\",\"t\":1.0,\"seq\":1,\"counters\":{\"c\":2},\"histograms\":{}}\n";
+  L.feed_line st3 "not json at all";
+  L.feed_line st3 (heartbeat_line ~seq:1 [ ("c", 2) ] []);
   Alcotest.(check int) "parse error counted" 1 (L.parse_errors st3);
   Alcotest.(check (list (pair string int))) "later lines still folded"
-    [ ("c", 2) ] (L.counters st3)
+    [ ("c", 2) ] (L.registry st3).Snap.counters
 
 let test_live_strict_required_fields () =
   (* a record missing a required field (or carrying it ill-typed) is a
-     parse error and is skipped whole — no field silently defaults,
-     no partial state mutation *)
+     parse error and is skipped whole *)
   let cases =
     [ "{\"record\":\"progress\",\"t\":2.0,\"name\":\"x\",\"total\":9,\"rate\":1.0}";
       "{\"record\":\"progress\",\"t\":2.0,\"name\":\"x\",\"completed\":5,\"rate\":1.0}";
       "{\"record\":\"progress\",\"t\":2.0,\"name\":\"x\",\"completed\":\"5\",\"total\":9}";
-      "{\"record\":\"counter\",\"t\":2.0,\"name\":\"c\"}";
-      "{\"record\":\"counter\",\"t\":2.0,\"delta\":3}";
-      "{\"record\":\"digest\",\"t\":2.0,\"name\":\"d\",\"sum\":1.0}";
-      "{\"record\":\"heartbeat\",\"t\":2.0,\"counters\":{\"c\":7},\"histograms\":{}}";
-      "{\"record\":\"final\",\"t\":2.0}";
+      "{\"record\":\"start\",\"t\":2.0,\"interval\":0.0}";
+      "{\"record\":\"heartbeat\",\"t\":2.0,\"registry\":{\"schema\":\"bidir-snapshot/1\",\"counters\":{\"c\":7},\"histograms\":{}}}";
+      "{\"record\":\"heartbeat\",\"t\":2.0,\"seq\":1}";
+      "{\"record\":\"final\",\"t\":2.0,\"events\":1}";
+      "{\"record\":\"final\",\"t\":2.0,\"heartbeats\":1}";
       "{\"t\":2.0,\"seq\":3}";
       "{\"record\":7,\"t\":2.0}";
     ]
@@ -977,193 +902,250 @@ let test_live_strict_required_fields () =
     (List.length cases) (L.parse_errors st);
   Alcotest.(check int) "none folded" 0 (L.records st);
   Alcotest.(check (list (pair string int))) "no counter leaked" []
-    (L.counters st);
+    (L.registry st).Snap.counters;
   Alcotest.(check bool) "no progress leaked" true (L.progress st = None);
   Alcotest.(check bool) "not finished" false (L.finished st);
   Alcotest.(check int) "no heartbeat" 0 (L.heartbeats st);
   Alcotest.(check (float 0.)) "last_t untouched by skipped records" 0.
     (L.last_t st);
-  (* a heartbeat with one malformed embedded digest must not
-     half-apply: neither its seq, nor its counters, nor the valid
-     digests next to the bad one *)
+  (* valid records around a bad one still fold *)
   let st2 = L.create () in
-  L.feed_line st2
-    "{\"record\":\"heartbeat\",\"t\":1.0,\"seq\":1,\"counters\":{\"c\":7},\"histograms\":{\"good\":{\"count\":2,\"sum\":1.0},\"bad\":{\"sum\":1.0}}}";
-  Alcotest.(check int) "bad embedded digest is one parse error" 1
-    (L.parse_errors st2);
-  Alcotest.(check int) "heartbeat not half-applied" 0 (L.heartbeats st2);
-  Alcotest.(check (list (pair string int))) "counters not half-applied" []
-    (L.counters st2);
-  Alcotest.(check int) "digests not half-applied" 0
-    (List.length (L.digests st2));
-  (* valid records around the bad ones still fold *)
-  let st3 = L.create () in
-  L.feed_string st3
-    "{\"record\":\"counter\",\"t\":1.0,\"name\":\"c\",\"delta\":2}\n\
-     {\"record\":\"counter\",\"t\":2.0,\"name\":\"c\"}\n\
-     {\"record\":\"counter\",\"t\":3.0,\"name\":\"c\",\"delta\":3}\n";
-  Alcotest.(check int) "one parse error" 1 (L.parse_errors st3);
-  Alcotest.(check (list (pair string int))) "valid deltas accumulated"
-    [ ("c", 5) ] (L.counters st3);
+  List.iter (L.feed_line st2)
+    [ heartbeat_line ~seq:1 [ ("c", 2) ] [];
+      "{\"record\":\"progress\",\"t\":2.0,\"name\":\"x\"}";
+      heartbeat_line ~t:3.0 ~seq:2 [ ("c", 5) ] [] ];
+  Alcotest.(check int) "one parse error" 1 (L.parse_errors st2);
+  Alcotest.(check (list (pair string int))) "valid heartbeats folded"
+    [ ("c", 5) ] (L.registry st2).Snap.counters;
   (* unknown record kinds remain forward-compatible no-ops *)
-  let st4 = L.create () in
-  L.feed_line st4 "{\"record\":\"hologram\",\"t\":1.0}";
-  Alcotest.(check int) "unknown kind is not an error" 0 (L.parse_errors st4);
+  let st3 = L.create () in
+  L.feed_line st3 "{\"record\":\"hologram\",\"t\":1.0}";
+  Alcotest.(check int) "unknown kind is not an error" 0 (L.parse_errors st3);
   Alcotest.(check int) "unknown kind still counts as a record" 1
-    (L.records st4)
+    (L.records st3)
 
-let test_live_warning_ring_bounded () =
-  (* 10k warn records fold in linear time into the bounded ring; the
-     reader sees the newest 8, newest first *)
-  let n = 10_000 in
+let test_live_old_and_malformed_registries () =
+  (* a bidir-live/1 heartbeat (counter deltas and digests, no registry)
+     and heartbeats whose registry Snapshot.of_json rejects: one parse
+     error each, and no state moves — not the seq, the heartbeat count,
+     the last timestamp, nor the valid metrics next to a bad one *)
+  let bad_hist = H.to_json_state (hist_of [ 1.0 ]) in
+  let bad_hist =
+    match bad_hist with
+    | J.Obj fields -> J.Obj (List.remove_assoc "lo" fields)
+    | j -> j
+  in
+  let registry counters histograms =
+    J.to_string
+      (J.Obj
+         [ ("record", J.String "heartbeat");
+           ("t", J.Float 5.0);
+           ("seq", J.Int 1);
+           ( "registry",
+             J.Obj
+               [ ("schema", J.String "bidir-snapshot/1");
+                 ("counters", J.Obj counters);
+                 ("histograms", J.Obj histograms);
+               ] );
+         ])
+  in
+  let lines =
+    [ "{\"schema\":\"bidir-live/1\",\"record\":\"start\",\"t\":5.0,\"interval\":0.0}";
+      "{\"record\":\"heartbeat\",\"t\":5.0,\"seq\":1,\"counters\":{\"c\":2},\"histograms\":{\"h\":{\"count\":1,\"sum\":1.0,\"p50\":1.0,\"p90\":1.0,\"p99\":1.0}}}";
+      registry [ ("c", J.Int 2); ("d", J.String "3") ] [];
+      registry [ ("c", J.Int 2) ]
+        [ ("good", H.to_json_state (hist_of [ 1.0 ])); ("bad", bad_hist) ];
+      "{\"record\":\"heartbeat\",\"t\":5.0,\"seq\":1,\"registry\":{\"counters\":{},\"histograms\":{}}}";
+      "{\"record\":\"heartbeat\",\"t\":5.0,\"seq\":1,\"registry\":[]}";
+    ]
+  in
   let st = L.create () in
-  for i = 1 to n do
-    L.feed_line st
-      (Printf.sprintf
-         "{\"record\":\"log\",\"t\":%d.0,\"level\":\"warn\",\"msg\":\"w%d\"}" i
-         i)
-  done;
-  Alcotest.(check int) "all records folded" n (L.records st);
-  Alcotest.(check int) "no parse errors" 0 (L.parse_errors st);
-  let ws = L.warnings st in
-  Alcotest.(check int) "ring keeps 8" 8 (List.length ws);
   List.iteri
-    (fun i (t, level, msg) ->
-      Alcotest.(check string) "newest first" (Printf.sprintf "w%d" (n - i)) msg;
-      Alcotest.(check (float 0.)) "timestamp kept" (float_of_int (n - i)) t;
-      Alcotest.(check string) "level kept" "warn" level)
-    ws;
-  (* info-level logs never enter the ring *)
-  L.feed_line st "{\"record\":\"log\",\"t\":99999.0,\"level\":\"info\",\"msg\":\"quiet\"}";
-  (match L.warnings st with
-  | (_, _, msg) :: _ ->
-    Alcotest.(check string) "info log not ringed" (Printf.sprintf "w%d" n) msg
-  | [] -> Alcotest.fail "ring unexpectedly empty");
-  (* a part-filled ring reports only what it holds *)
-  let st2 = L.create () in
-  L.feed_line st2 "{\"record\":\"log\",\"t\":1.0,\"level\":\"error\",\"msg\":\"only\"}";
-  Alcotest.(check int) "single warning" 1 (List.length (L.warnings st2))
+    (fun i line ->
+      L.feed_line st line;
+      Alcotest.(check int)
+        (Printf.sprintf "line %d is one parse error" i)
+        (i + 1) (L.parse_errors st))
+    lines;
+  Alcotest.(check int) "nothing applied" 0 (L.records st);
+  Alcotest.(check int) "no heartbeat counted" 0 (L.heartbeats st);
+  Alcotest.(check (float 0.)) "last_t unmoved" 0. (L.last_t st);
+  let reg = L.registry st in
+  Alcotest.(check int) "no counter" 0 (List.length reg.Snap.counters);
+  Alcotest.(check int) "no histogram" 0 (List.length reg.Snap.histograms);
+  (* the rejected seq 1 did not advance the reader: a valid seq 1 is
+     still monotone *)
+  L.feed_line st (heartbeat_line ~seq:1 [] []);
+  Alcotest.(check bool) "seq not advanced by rejected heartbeats" true
+    (L.monotone st)
 
-(* ------------------------------------------------------------------ *)
-(* Log: levels, rate limiting, span path, SLO watchdog                  *)
-(* ------------------------------------------------------------------ *)
+let test_live_registry_replaces_by_name () =
+  (* counters are cumulative and histograms full state: a later entry
+     replaces the earlier one of the same name, nothing is summed, and a
+     name the later heartbeat leaves out keeps its value *)
+  let first = hist_of [ 1.0; 2.0 ] and later = hist_of [ 1.0; 2.0; 40.0 ] in
+  let st = L.create () in
+  List.iter (L.feed_line st)
+    [ heartbeat_line ~seq:1 [ ("a", 5); ("b", 1) ] [ ("h", first) ];
+      heartbeat_line ~seq:2 [ ("a", 7) ] [ ("h", later) ] ];
+  let reg = L.registry st in
+  Alcotest.(check (list (pair string int))) "counters replaced, not summed"
+    [ ("a", 7); ("b", 1) ] reg.Snap.counters;
+  let expected =
+    { Snap.label = ""; created_at = 0.; counters = reg.Snap.counters;
+      histograms = [ ("h", later) ] }
+  in
+  Alcotest.(check bool) "histogram is the later full state" true
+    (Snap.identical (Snap.diff expected reg))
 
-module Lg = Telemetry.Log
+let test_live_no_writer_noop () =
+  L.close_live ();
+  Alcotest.(check bool) "no writer" false (L.is_open ());
+  let events = Telemetry.Metrics.counter "telemetry.stream.events"
+  and beats = Telemetry.Metrics.counter "telemetry.stream.heartbeats" in
+  let e0 = Telemetry.Metrics.value events
+  and b0 = Telemetry.Metrics.value beats in
+  L.note_progress ~name:"x" ~completed:1 ~total:2 ();
+  L.pulse_live ();
+  (* with no writer the calls return at once, from any domain *)
+  Domain.join
+    (Domain.spawn (fun () ->
+         L.note_progress ~name:"y" ~completed:1 ~total:2 ();
+         L.pulse_live ()));
+  L.close_live ();
+  Alcotest.(check int) "no progress record counted" e0
+    (Telemetry.Metrics.value events);
+  Alcotest.(check int) "no heartbeat counted" b0
+    (Telemetry.Metrics.value beats);
+  Alcotest.(check bool) "still no writer" false (L.is_open ())
 
-(* every Log test silences the stderr sink and restores defaults *)
-let with_quiet_log f =
-  Lg.set_stderr None;
-  Fun.protect
-    ~finally:(fun () ->
-      Lg.set_stderr (Some Lg.Warn);
-      Lg.set_level Lg.Info;
-      Lg.set_slos [])
-    f
+let test_live_main_domain_only () =
+  let raises f =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match f () with () -> false | exception Invalid_argument _ -> true))
+  in
+  with_live_file (fun path ->
+      let other = path ^ ".other" in
+      Alcotest.(check bool) "open_live off the main domain" true
+        (raises (fun () -> L.open_live other));
+      Alcotest.(check bool) "no file opened" false (Sys.file_exists other);
+      L.open_live path;
+      Alcotest.(check bool) "note_progress off the main domain" true
+        (raises (fun () -> L.note_progress ~name:"x" ~completed:1 ~total:1 ()));
+      Alcotest.(check bool) "pulse_live off the main domain" true
+        (raises L.pulse_live);
+      Alcotest.(check bool) "close_live off the main domain" true
+        (raises L.close_live);
+      Alcotest.(check bool) "writer still open" true (L.is_open ());
+      L.close_live ();
+      Alcotest.(check (list string)) "only the main domain's records"
+        [ "start"; "heartbeat"; "final" ]
+        (List.map kind (records_of path)))
 
-let drain_logs () =
-  List.filter_map
-    (function S.Log r -> Some r | _ -> None)
-    (S.drain ())
+let test_live_heartbeats_carry_changes () =
+  let c1 = Telemetry.Metrics.counter "test.live.changed"
+  and _c2 = Telemetry.Metrics.counter "test.live.unchanged"
+  and h = Telemetry.Metrics.histogram "test.live.hist" in
+  with_live_file (fun path ->
+      L.open_live path;
+      L.pulse_live ();
+      Telemetry.Metrics.incr c1;
+      L.pulse_live ();
+      Telemetry.Metrics.observe h 0.5;
+      L.close_live ();
+      let hbs = List.filter (fun j -> kind j = "heartbeat") (records_of path) in
+      match List.map heartbeat_registry hbs with
+      | [ r1; r2; r3 ] ->
+        let names l = List.map fst l in
+        Alcotest.(check bool) "the first carries the whole registry" true
+          (List.mem "test.live.unchanged" (names r1.Snap.counters)
+          && List.mem "test.live.hist" (names r1.Snap.histograms));
+        Alcotest.(check (list string)) "then only the counters that moved"
+          [ "telemetry.stream.heartbeats"; "test.live.changed" ]
+          (names r2.Snap.counters);
+        Alcotest.(check (list string)) "and no unchanged histogram" []
+          (names r2.Snap.histograms);
+        Alcotest.(check int) "counters at cumulative values"
+          (Telemetry.Metrics.value c1)
+          (List.assoc "test.live.changed" r2.Snap.counters);
+        Alcotest.(check (list string)) "a histogram that moved, at full state"
+          [ "test.live.hist" ] (names r3.Snap.histograms);
+        Alcotest.(check int) "its full count" (H.count h)
+          (H.count (List.assoc "test.live.hist" r3.Snap.histograms))
+      | l -> Alcotest.failf "expected 3 heartbeats, got %d" (List.length l))
 
-let test_log_levels_and_span () =
-  with_quiet_log @@ fun () ->
-  S.with_enabled true (fun () ->
-      ignore (S.drain () : S.event list);
-      (* below the minimum level: discarded at the callsite *)
-      Lg.set_level Lg.Warn;
-      Lg.info "should not appear %d" 1;
-      Alcotest.(check int) "info below min level" 0
-        (List.length (drain_logs ()));
-      Lg.set_level Lg.Info;
-      (* the record carries the current span path *)
-      Telemetry.Span.start ();
-      Telemetry.Span.with_span "a" (fun () ->
-          Telemetry.Span.with_span "b" (fun () -> Lg.warn "deep"));
-      Telemetry.Span.stop ();
-      match drain_logs () with
-      | [ r ] ->
-        Alcotest.(check string) "message" "deep" r.S.l_msg;
-        Alcotest.(check string) "root-first span path" "a/b" r.S.l_span;
-        Alcotest.(check string) "level" "warn" (S.level_name r.S.l_level)
-      | l -> Alcotest.failf "expected one record, got %d" (List.length l))
+let test_live_latest_progress_and_interval () =
+  (* an hour-long interval: only the first pulse and the close write a
+     heartbeat, and each writes the latest progress noted before it *)
+  with_live_file (fun path ->
+      L.open_live ~interval:3600. path;
+      L.note_progress ~name:"p" ~completed:1 ~total:3 ();
+      L.pulse_live ();
+      L.note_progress ~name:"p" ~completed:2 ~total:3 ();
+      L.pulse_live ();
+      L.note_progress ~name:"p" ~completed:3 ~total:3 ();
+      L.pulse_live ();
+      L.close_live ();
+      let recs = records_of path in
+      Alcotest.(check (list string)) "record sequence"
+        [ "start"; "progress"; "heartbeat"; "progress"; "heartbeat"; "final" ]
+        (List.map kind recs);
+      Alcotest.(check (list int)) "latest progress at each heartbeat" [ 1; 3 ]
+        (List.filter_map
+           (fun j ->
+             if kind j = "progress" then Some (int_field "completed" j)
+             else None)
+           recs);
+      let final = List.nth recs 5 in
+      Alcotest.(check int) "final heartbeats" 2 (int_field "heartbeats" final);
+      Alcotest.(check int) "final events" 2 (int_field "events" final))
 
-let test_log_rate_limit () =
-  with_quiet_log @@ fun () ->
-  S.with_enabled true (fun () ->
-      ignore (S.drain () : S.event list);
-      let sup = Telemetry.Metrics.counter "telemetry.log.suppressed" in
-      let s0 = Telemetry.Metrics.value sup in
-      for i = 0 to 9 do
-        Lg.info ~rate:3600. ~key:"rate-limit-test" "repeat %d" i
-      done;
-      Alcotest.(check int) "one emitted" 1 (List.length (drain_logs ()));
-      Alcotest.(check int) "nine suppressed" 9
-        (Telemetry.Metrics.value sup - s0);
-      (* a different key is not throttled by the first *)
-      Lg.info ~rate:3600. ~key:"rate-limit-other" "other";
-      Alcotest.(check int) "distinct key emitted" 1
-        (List.length (drain_logs ())))
+let test_live_reopen_closes_previous () =
+  with_live_file (fun first ->
+      with_live_file (fun second ->
+          L.open_live first;
+          L.note_progress ~name:"a" ~completed:1 ~total:1 ();
+          L.open_live second;
+          Alcotest.(check (list string)) "the replaced writer was closed"
+            [ "start"; "progress"; "heartbeat"; "final" ]
+            (List.map kind (records_of first));
+          L.close_live ();
+          Alcotest.(check (list string)) "the new file starts fresh"
+            [ "start"; "heartbeat"; "final" ]
+            (List.map kind (records_of second))))
 
-let test_slo_parse () =
-  (match Lg.parse_slo "lp.solve_seconds:p99:0.05:0.5" with
-  | Ok s ->
-    Alcotest.(check string) "metric" "lp.solve_seconds" s.Lg.slo_metric;
-    Alcotest.(check string) "stat" "p99" (Lg.stat_name s.Lg.slo_stat);
-    feq "warn" 0.05 s.Lg.slo_warn;
-    Alcotest.(check (option (float 1e-9))) "error" (Some 0.5) s.Lg.slo_error
-  | Error m -> Alcotest.failf "parse_slo: %s" m);
-  (match Lg.parse_slo "campaign.pool_idle_seconds:sum:5" with
-  | Ok s -> Alcotest.(check (option (float 1e-9))) "no error level" None
-              s.Lg.slo_error
-  | Error m -> Alcotest.failf "parse_slo: %s" m);
-  List.iter
-    (fun spec ->
-      match Lg.parse_slo spec with
-      | Ok _ -> Alcotest.failf "expected failure on %S" spec
-      | Error _ -> ())
-    [ ""; "metric"; "metric:p99"; "metric:nostat:1"; "metric:p99:notafloat" ]
-
-let test_slo_watchdog_transitions () =
-  with_quiet_log @@ fun () ->
-  S.with_enabled true (fun () ->
-      ignore (S.drain () : S.event list);
-      let h = Telemetry.Metrics.histogram "test.slo.watch_hist" in
-      Lg.set_slos
-        [ { Lg.slo_metric = "test.slo.watch_hist"; slo_stat = Lg.Mean;
-            slo_warn = 5.; slo_error = Some 100. } ];
-      (* empty metric: skipped, no records *)
-      Lg.watch ();
-      Alcotest.(check int) "empty metric skipped" 0
-        (List.length (drain_logs ()));
-      (* breach: exactly one warn on the transition, silence while the
-         breach persists *)
-      Telemetry.Metrics.observe h 10.;
-      Lg.watch ();
-      (match drain_logs () with
-      | [ r ] ->
-        Alcotest.(check string) "warn on breach" "warn"
-          (S.level_name r.S.l_level)
-      | l -> Alcotest.failf "expected one warn, got %d" (List.length l));
-      Lg.watch ();
-      Alcotest.(check int) "no repeat while breached" 0
-        (List.length (drain_logs ()));
-      (* escalation to the error threshold logs once more *)
-      Telemetry.Metrics.observe h 1_000.;
-      Lg.watch ();
-      (match drain_logs () with
-      | [ r ] ->
-        Alcotest.(check string) "error on escalation" "error"
-          (S.level_name r.S.l_level)
-      | l -> Alcotest.failf "expected one error, got %d" (List.length l));
-      (* recovery: drag the mean back under the warn threshold *)
-      for _ = 1 to 1_000 do Telemetry.Metrics.observe h 0. done;
-      Lg.watch ();
-      match drain_logs () with
-      | [ r ] ->
-        Alcotest.(check string) "info on recovery" "info"
-          (S.level_name r.S.l_level)
-      | l -> Alcotest.failf "expected one recovery record, got %d"
-               (List.length l))
+let test_live_frame_from_histograms () =
+  let lat = hist_of [ 1e-3; 2e-3; 4e-3; 8e-3 ] in
+  let busy = hist_of [ 1.0; 2.0 ] and idle = hist_of [ 1.0 ] in
+  let st = L.create () in
+  L.feed_line st
+    "{\"schema\":\"bidir-live/2\",\"record\":\"start\",\"t\":10.0,\"interval\":0.0}";
+  L.feed_line st
+    (heartbeat_line ~t:12.0 ~seq:1
+       [ ("gc.minor_collections", 4) ]
+       [ ("lp.solve_seconds", lat);
+         ("engine.pool.busy_seconds", busy);
+         ("engine.pool.idle_seconds", idle) ]);
+  let frame = L.render st in
+  let has needle =
+    let nh = String.length frame and nn = String.length needle in
+    let rec at i = i + nn <= nh && (String.sub frame i nn = needle || at (i + 1)) in
+    at 0
+  in
+  let p50, p90, p99 = H.percentiles lat in
+  let row =
+    Printf.sprintf "%-34s %8d %10.3g %10.3g %10.3g" "lp.solve_seconds" 4 p50
+      p90 p99
+  in
+  Alcotest.(check bool) ("latency row " ^ row) true (has row);
+  Alcotest.(check bool) "pool line from the histogram sums" true
+    (has "pool        busy 3.0 s, idle 1.0 s (25.0% idle)");
+  Alcotest.(check bool) "pool pair not in the latency table" false
+    (has "engine.pool.busy_seconds");
+  Alcotest.(check bool) "gc line" true (has "minor 4, major 0");
+  Alcotest.(check bool) "elapsed from the file's timestamps" true
+    (has "elapsed     2.0 s")
 
 (* ------------------------------------------------------------------ *)
 (* Analyze on adversarial traces                                        *)
@@ -1277,16 +1259,6 @@ let suites =
           test_json_escapes;
         QCheck_alcotest.to_alcotest json_roundtrip_prop;
       ] );
-    ( "telemetry.stream",
-      [ Alcotest.test_case "disabled emit is a no-op" `Quick
-          test_stream_disabled_noop;
-        Alcotest.test_case "FIFO order, overflow drops counted" `Quick
-          test_stream_fifo_and_overflow;
-        Alcotest.test_case "concurrent producers, per-producer order" `Quick
-          test_stream_concurrent_producers;
-        Alcotest.test_case "concurrent overflow conserves events" `Quick
-          test_stream_concurrent_overflow;
-      ] );
     ( "telemetry.live",
       [ Alcotest.test_case "writer file round-trips through the reader"
           `Quick test_live_file_roundtrip;
@@ -1294,17 +1266,22 @@ let suites =
           `Quick test_live_monotone_violation;
         Alcotest.test_case "missing required fields are parse errors"
           `Quick test_live_strict_required_fields;
-        Alcotest.test_case "warning ring bounded at 10k warnings" `Quick
-          test_live_warning_ring_bounded;
-      ] );
-    ( "telemetry.log",
-      [ Alcotest.test_case "levels and span path" `Quick
-          test_log_levels_and_span;
-        Alcotest.test_case "per-callsite rate limiting" `Quick
-          test_log_rate_limit;
-        Alcotest.test_case "SLO spec parsing" `Quick test_slo_parse;
-        Alcotest.test_case "SLO watchdog logs transitions only" `Quick
-          test_slo_watchdog_transitions;
+        Alcotest.test_case "bidir-live/1 and malformed registries rejected"
+          `Quick test_live_old_and_malformed_registries;
+        Alcotest.test_case "registry entries replace by name" `Quick
+          test_live_registry_replaces_by_name;
+        Alcotest.test_case "no writer: note_progress is a no-op" `Quick
+          test_live_no_writer_noop;
+        Alcotest.test_case "writer calls off the main domain raise" `Quick
+          test_live_main_domain_only;
+        Alcotest.test_case "heartbeats carry the metrics that moved" `Quick
+          test_live_heartbeats_carry_changes;
+        Alcotest.test_case "latest progress per heartbeat, interval gates"
+          `Quick test_live_latest_progress_and_interval;
+        Alcotest.test_case "reopening closes the previous writer" `Quick
+          test_live_reopen_closes_previous;
+        Alcotest.test_case "frame reads percentiles and pool sums" `Quick
+          test_live_frame_from_histograms;
       ] );
     ( "telemetry.span",
       [ Alcotest.test_case "disabled collects nothing" `Quick
