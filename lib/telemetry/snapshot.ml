@@ -130,7 +130,7 @@ let budget_counters =
     "linprog.kernel_row_ops" ]
 
 (* Informational distributions: the pool's per-map chunk-balance
-   ratio (pure scheduling noise), and two retired names. *)
+   ratio (pure scheduling noise), and retired names. *)
 let ignored_histograms =
   [ (* the per-solve pivot histograms are no longer recorded (the
        budget counters gate pivot totals), but baselines written
