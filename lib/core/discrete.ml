@@ -128,10 +128,10 @@ let max_sum_rate_binary ?(grid = 11) protocol kind net =
   in
   refined
 
-let time_shared_region ?weights protocol kind net inputs_list =
+let time_shared_region protocol kind net inputs_list =
   if inputs_list = [] then
     invalid_arg "Discrete.time_shared_region: no input distributions";
-  Rate_region.union_polygon ?weights
+  Rate_region.union_polygon
     (List.map (fun ins -> bounds protocol kind net ins) inputs_list)
 
 let bec_network ~e_ab ~e_ar ~e_br ~e_mac =

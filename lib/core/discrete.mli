@@ -52,7 +52,7 @@ val max_sum_rate_binary :
     it. Raises [Invalid_argument] when some alphabet is not binary. *)
 
 val time_shared_region :
-  ?weights:int -> Protocol.t -> Bound.kind -> network -> inputs list ->
+  Protocol.t -> Bound.kind -> network -> inputs list ->
   Numerics.Vec2.t list
 (** The |Q| > 1 evaluation: the down-closed convex hull of the regions
     obtained at each input tuple (time sharing across them). Raises

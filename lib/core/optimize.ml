@@ -72,7 +72,7 @@ let hbc_strict_advantage_uncached scenario =
   let hbc = Gaussian.bounds Protocol.Hbc Bound.Inner scenario in
   let mabc_outer = Gaussian.bounds Protocol.Mabc Bound.Outer scenario in
   let tdbc_outer = Gaussian.bounds Protocol.Tdbc Bound.Outer scenario in
-  let candidates = Rate_region.boundary ~weights:129 hbc in
+  let candidates = Rate_region.boundary hbc in
   (* build each outer polygon once, not once per candidate *)
   let mabc_poly = Rate_region.polygon mabc_outer in
   let tdbc_poly = Rate_region.polygon tdbc_outer in
@@ -102,8 +102,8 @@ let hbc_strict_advantage_uncached scenario =
            if m > m_best then cand else best)
          first rest)
 
-(* The full advantage search (a 129-weight sweep plus two outer-bound
-   polygons plus per-candidate feasibility probes) is deterministic in
+(* The full advantage search (the exact HBC frontier, two outer-bound
+   polygons and per-candidate feasibility probes) is deterministic in
    the scenario, so its verdict is cached whole. *)
 let hbc_advantage_cache :
     (Gaussian.scenario, (float * float * float) option) Engine.Memo.t =

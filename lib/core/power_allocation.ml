@@ -47,9 +47,11 @@ let node_power kind protocol (s : Gaussian.scenario) deltas node =
     if f <= 1e-12 then 0. (* never transmits: power is irrelevant *)
     else s.Gaussian.power /. f
 
-(* the inner-bound constraints for fixed durations and per-node powers,
-   as (ca, cb, budget) rows; mirrors Templates with per-phase powers *)
-let constraint_rows protocol (s : Gaussian.scenario) kind deltas =
+(* The inner bound for fixed durations and per-node powers (Templates
+   with per-phase powers). Every row is Ra <= a, Rb <= b or
+   Ra + Rb <= s, so the bound is the three budgets, each the least of
+   its rows; [infinity] where a protocol has no sum row. *)
+let budgets protocol (s : Gaussian.scenario) kind deltas =
   let g = s.Gaussian.gains in
   let gab = g.Channel.Gains.g_ab
   and gar = g.Channel.Gains.g_ar
@@ -60,58 +62,36 @@ let constraint_rows protocol (s : Gaussian.scenario) kind deltas =
   let c = Channel.Awgn.c in
   let d l = deltas.(l) in
   match protocol with
-  | Protocol.Dt ->
-    [ (1., 0., d 0 *. c (pa *. gab)); (0., 1., d 1 *. c (pb *. gab)) ]
+  | Protocol.Dt -> (d 0 *. c (pa *. gab), d 1 *. c (pb *. gab), infinity)
   | Protocol.Naive ->
-    [ (1., 0., d 0 *. c (pa *. gar));
-      (1., 0., d 1 *. c (pr *. gbr));
-      (0., 1., d 2 *. c (pb *. gbr));
-      (0., 1., d 3 *. c (pr *. gar));
-    ]
+    ( Float.min (d 0 *. c (pa *. gar)) (d 1 *. c (pr *. gbr)),
+      Float.min (d 2 *. c (pb *. gbr)) (d 3 *. c (pr *. gar)),
+      infinity )
   | Protocol.Mabc ->
-    [ (1., 0., d 0 *. c (pa *. gar));
-      (1., 0., d 1 *. c (pr *. gbr));
-      (0., 1., d 0 *. c (pb *. gbr));
-      (0., 1., d 1 *. c (pr *. gar));
-      (1., 1., d 0 *. c ((pa *. gar) +. (pb *. gbr)));
-    ]
+    ( Float.min (d 0 *. c (pa *. gar)) (d 1 *. c (pr *. gbr)),
+      Float.min (d 0 *. c (pb *. gbr)) (d 1 *. c (pr *. gar)),
+      d 0 *. c ((pa *. gar) +. (pb *. gbr)) )
   | Protocol.Tdbc ->
-    [ (1., 0., d 0 *. c (pa *. gar));
-      (1., 0., (d 0 *. c (pa *. gab)) +. (d 2 *. c (pr *. gbr)));
-      (0., 1., d 1 *. c (pb *. gbr));
-      (0., 1., (d 1 *. c (pb *. gab)) +. (d 2 *. c (pr *. gar)));
-    ]
+    ( Float.min (d 0 *. c (pa *. gar))
+        ((d 0 *. c (pa *. gab)) +. (d 2 *. c (pr *. gbr))),
+      Float.min (d 1 *. c (pb *. gbr))
+        ((d 1 *. c (pb *. gab)) +. (d 2 *. c (pr *. gar))),
+      infinity )
   | Protocol.Hbc ->
-    [ (1., 0., (d 0 +. d 2) *. c (pa *. gar));
-      (1., 0., (d 0 *. c (pa *. gab)) +. (d 3 *. c (pr *. gbr)));
-      (0., 1., (d 1 +. d 2) *. c (pb *. gbr));
-      (0., 1., (d 1 *. c (pb *. gab)) +. (d 3 *. c (pr *. gar)));
-      ( 1.,
-        1.,
-        (d 0 *. c (pa *. gar))
-        +. (d 1 *. c (pb *. gbr))
-        +. (d 2 *. c ((pa *. gar) +. (pb *. gbr))) );
-    ]
+    ( Float.min ((d 0 +. d 2) *. c (pa *. gar))
+        ((d 0 *. c (pa *. gab)) +. (d 3 *. c (pr *. gbr))),
+      Float.min ((d 1 +. d 2) *. c (pb *. gbr))
+        ((d 1 *. c (pb *. gab)) +. (d 3 *. c (pr *. gar))),
+      (d 0 *. c (pa *. gar))
+      +. (d 1 *. c (pb *. gbr))
+      +. (d 2 *. c ((pa *. gar) +. (pb *. gbr))) )
 
-(* maximise Ra + Rb over the fixed-schedule polygon *)
-let rates_for rows =
-  let constrs =
-    List.map
-      (fun (ca, cb, budget) ->
-        Linprog.Simplex.constr [| ca; cb |] Linprog.Simplex.Le budget)
-      rows
-  in
-  match
-    Linprog.Solver.reoptimize (Linprog.Solver.create ~nvars:2 ~constrs)
-      ~c:[| 1.; 1. |]
-  with
-  | Linprog.Simplex.Optimal sol ->
-    (sol.Linprog.Simplex.x.(0), sol.Linprog.Simplex.x.(1))
-  | Linprog.Simplex.Unbounded | Linprog.Simplex.Infeasible ->
-    (0., 0.) (* budgets are finite and non-negative; cannot happen *)
-
+(* the ra-most maximiser of Ra + Rb under the budgets: the sum is
+   min (a + b) s *)
 let evaluate protocol s kind deltas =
-  let ra, rb = rates_for (constraint_rows protocol s kind deltas) in
+  let a, b, sum = budgets protocol s kind deltas in
+  let ra = Float.min a sum in
+  let rb = Float.min b (sum -. ra) in
   (ra +. rb, ra, rb)
 
 (* enumerate compositions of [k] into [parts] non-negative integers *)

@@ -8,8 +8,9 @@
     fraction [f] of the block transmits at [P / f]. Because the boosted
     power depends on the phase durations, the problem is no longer a
     linear program; this module optimises the durations by simplex-grid
-    search with local refinement, evaluating a small exact LP in
-    [(Ra, Rb)] at every candidate schedule.
+    search with local refinement. At every candidate schedule the rate
+    pairs form the polygon [Ra <= a, Rb <= b, Ra + Rb <= s], whose
+    largest sum [min (a + b) s] is evaluated in closed form.
 
     Restrictions (documented, deliberate): inner bounds only, and a node
     active in several phases (HBC terminals) spreads its energy at

@@ -27,7 +27,7 @@ let lp_constraints (b : Bound.t) =
    term its arity and the IEEE-754 bits of [ca], [cb] and every
    per-phase coefficient. Two bounds share a key iff they have the same
    protocol, kind and shape and every coefficient is bit-identical (so
-   [0.] and [-0.] differ), hence repeated sweeps over overlapping
+   [0.] and [-0.] differ), hence repeated queries over overlapping
    scenarios share LP solutions. A string key hashes all of its bytes;
    a [float array] would hash only its first 10 values. *)
 let put_int k pos n = Bytes.set_int64_le k pos (Int64.of_int n)
@@ -86,28 +86,13 @@ let point_key key x y =
    [Engine.Flat_memo]): no entry is a heap object the GC must trace. *)
 let weighted_cache = Engine.Flat_memo.create ~name:"rate_region.weighted" ()
 
-let feasibility_cache : (string * float * float, bool) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.feasibility" ()
-
-(* Boundary sweeps and their down-closures are cached whole: the warm
-   path of a figure pass is dominated not by LP solves (those hit
-   [weighted_cache]) but by the sweep's dedup/sort and the convex
-   geometry, so caching the finished point lists is what makes repeat
-   passes cheap. Both store immutable [Vec2.t] lists, so hits can share
-   structure safely. *)
-let boundary_cache : (string * int, Numerics.Vec2.t list) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.boundary" ()
-
-let polygon_cache : (string * int, Numerics.Vec2.t list) Engine.Memo.t =
-  Engine.Memo.create ~name:"rate_region.polygon" ()
-
 (* --- per-domain warm-start solver slots ---------------------------- *)
 
 (* One [Linprog.Solver.t] per (LP shape, domain): the shape — weighted
-   sweep vs feasibility probe, phase count, term count — determines the
-   tableau layout, so one instance serves every bound system of that
-   shape. A sweep over one bound system reoptimises the loaded tableau
-   (phase 1 never re-runs); moving to the next block's bound system
+   optimum vs feasibility probe, phase count, term count — determines
+   the tableau layout, so one instance serves every bound system of that
+   shape. A frontier search over one bound system reoptimises the loaded
+   tableau (phase 1 never re-runs); moving to the next block's bound system
    rebuilds in place and carries the optimal basis across. Instances
    live in [Domain.DLS], so pool workers warm-start independently and
    no instance is ever shared between domains (the Solver ownership
@@ -135,7 +120,7 @@ type slot_table = {
   slots : (int, solver_slot) Hashtbl.t;
 }
 
-(* The slot-table key: LP kind (0 weighted sweep, 1 feasibility probe),
+(* The slot-table key: LP kind (0 weighted optimum, 1 feasibility probe),
    term count and phase count packed into one int. *)
 let shape ~probe (b : Bound.t) =
   (b.Bound.num_phases lsl 32)
@@ -170,7 +155,7 @@ let mark_loaded s key =
 (* Fetch this domain's slot for [shape], loading [constrs b] when the
    slot holds a different bound system (or none yet). The slot owns the
    [c]/[x] buffers its solver's [reoptimize_into] runs against, so a
-   warm sweep iteration allocates nothing on the solve path. *)
+   warm weighted solve allocates nothing on the solve path. *)
 let slot_for ~shape ~key ~nvars b constrs =
   let slots = domain_slots () in
   match Hashtbl.find slots shape with
@@ -187,9 +172,6 @@ let slot_for ~shape ~key ~nvars b constrs =
 
 let clear_cache () =
   Engine.Flat_memo.clear weighted_cache;
-  Engine.Memo.clear feasibility_cache;
-  Engine.Memo.clear boundary_cache;
-  Engine.Memo.clear polygon_cache;
   bump_solver_epoch ()
 
 (* Latency of every weighted optimum and feasibility probe actually
@@ -225,9 +207,9 @@ let solve_weighted ~key b ~wa ~wb =
 let of_flat v =
   { ra = v.(0); rb = v.(1); deltas = Array.sub v 2 (Array.length v - 2) }
 
-(* [~key] must be [bound_key b]; sweeps compute it once and reuse it
-   across their LPs — building the key is cheap next to a solve but not
-   next to a cache hit. *)
+(* [~key] must be [bound_key b]; frontier searches compute it once and
+   reuse it across their LPs — building the key is cheap next to a
+   solve but not next to a cache hit. *)
 let max_weighted_keyed ~key b ~wa ~wb =
   if wa < 0. || wb < 0. || wa +. wb <= 0. then
     invalid_arg "Rate_region.max_weighted: bad weights";
@@ -456,114 +438,71 @@ let probe_achievable ~key b ~ra ~rb =
   Linprog.Solver.feasible slot.solver
 
 let achievable_keyed ~key b ~ra ~rb =
-  if ra < -1e-12 || rb < -1e-12 then false
-  else
-    Engine.Memo.find_or_add feasibility_cache (key, ra, rb) (fun () ->
-        probe_achievable ~key b ~ra ~rb)
+  (ra >= -1e-12 && rb >= -1e-12) && probe_achievable ~key b ~ra ~rb
 
 let achievable b ~ra ~rb = achievable_keyed ~key:(bound_key b) b ~ra ~rb
 
-(* Reusable per-domain flat buffers: the sweep's weight vector and the
-   boundary's deduplicated (x, y) coordinate pairs are staged on
-   growable [floatarray] scratch and only materialised into immutable
-   values ([float] weights, [Vec2.t] lists) at the end — no per-point
-   intermediate allocation in between. *)
-let weight_scratch = Domain.DLS.new_key (fun () -> ref (Float.Array.create 128))
+(* --- the exact frontier by dichotomic search ------------------------ *)
 
-let point_scratch = Domain.DLS.new_key (fun () -> ref (Float.Array.create 256))
+(* The Pareto frontier of a region is a convex chain from the Rb corner
+   to the Ra corner. Between two known frontier points p and q (p left
+   of q), the weighted LP along the outward normal of the segment pq
+   either finds a point strictly beyond the segment, a vertex between
+   them around which the search recurses, or shows that pq is a
+   frontier edge. V frontier vertices cost 2V - 1 LPs: the two corners,
+   one per inner vertex and one per edge (the NISE method of Cohon,
+   Church and Sheer). The LPs run in the calling domain, the left part
+   first, so their order, and with it the basis history, does not
+   depend on the domain count. *)
 
-let scratch key ~cap =
-  let buf = Domain.DLS.get key in
-  if Float.Array.length !buf < cap then
-    buf := Float.Array.create (max cap (2 * Float.Array.length !buf));
-  !buf
+(* How far beyond a segment a point must lie to count as a new vertex,
+   relative to the segment's weighted value: far above the round-off
+   of an optimum, far below any real vertex's lead. *)
+let beyond_tol = 1e-9
 
-(* The weight sweep shared by [boundary] and [boundary_with_schedules]:
-   the Rb corner, then the interior weights in the legacy (descending-w)
-   order, then the Ra corner. The interior LPs fan out over the engine
-   pool; chunked-by-index scheduling keeps the order — and therefore the
-   downstream dedup — independent of the domain count. *)
-let sweep_results ~caller ~key ~weights b =
-  if weights < 2 then invalid_arg (caller ^ ": weights < 2");
-  let wbuf = scratch weight_scratch ~cap:weights in
-  let denom = float_of_int (weights + 1) in
-  for i = 0 to weights - 1 do
-    Float.Array.unsafe_set wbuf i (float_of_int (i + 1) /. denom)
-  done;
-  let interior = List.init weights (Float.Array.unsafe_get wbuf) in
-  let sweep =
-    Engine.Pool.map
-      (fun w -> max_weighted_keyed ~key b ~wa:w ~wb:(1. -. w))
-      interior
+(* The frontier vertices with their schedules, by increasing Ra. Two
+   corners closer than 1e-7 are one vertex reached by two solves. *)
+let frontier ~key b =
+  let p = max_rb_keyed ~key b and q = max_ra_keyed ~key b in
+  (* the vertices strictly between [p] and [q], in decreasing Ra, on
+     top of [acc]; the LP weights are the segment's outward normal,
+     scaled to sum to 1 *)
+  let rec between p q acc =
+    let dy = p.rb -. q.rb and dx = q.ra -. p.ra in
+    if dy <= 0. || dx <= 0. then acc
+    else
+      let wa = dy /. (dy +. dx) and wb = dx /. (dy +. dx) in
+      let r = max_weighted_keyed ~key b ~wa ~wb in
+      let level = (wa *. p.ra) +. (wb *. p.rb) in
+      if
+        (wa *. r.ra) +. (wb *. r.rb)
+        > level +. (beyond_tol *. Float.max 1. (abs_float level))
+      then between r q (r :: between p r acc)
+      else acc
   in
-  (max_rb_keyed ~key b :: List.rev sweep) @ [ max_ra_keyed ~key b ]
+  if Float.hypot (q.ra -. p.ra) (q.rb -. p.rb) < 1e-7 then [ p ]
+  else List.rev (q :: between p q [ p ])
 
-(* Keep-first dedup of the sweep's rate points on the flat pair buffer:
-   slot [2i]/[2i+1] hold the i-th kept (x, y). The distance test is the
-   expansion of [Vec2.dist p q < 1e-7], so kept points are exactly the
-   ones the historical [Vec2.t]-list dedup kept. Returns the kept
-   count; the caller materialises [Vec2.t]s from the buffer once. *)
-let dedup_into buf results =
-  let kept = ref 0 in
-  List.iter
-    (fun r ->
-      let x = r.ra and y = r.rb in
-      let dup = ref false and i = ref 0 in
-      while (not !dup) && !i < !kept do
-        let dx = x -. Float.Array.unsafe_get buf (2 * !i)
-        and dy = y -. Float.Array.unsafe_get buf ((2 * !i) + 1) in
-        if sqrt ((dx *. dx) +. (dy *. dy)) < 1e-7 then dup := true;
-        incr i
-      done;
-      if not !dup then begin
-        Float.Array.unsafe_set buf (2 * !kept) x;
-        Float.Array.unsafe_set buf ((2 * !kept) + 1) y;
-        incr kept
-      end)
-    results;
-  !kept
+let boundary_keyed ~key b =
+  Telemetry.Span.with_span ~cat:"region" "region.boundary" @@ fun () ->
+  List.map (fun r -> Numerics.Vec2.make r.ra r.rb) (frontier ~key b)
 
-let default_weights = 65
+let boundary b = boundary_keyed ~key:(bound_key b) b
 
-let boundary_keyed ~key ?(weights = default_weights) b =
-  Engine.Memo.find_or_add boundary_cache (key, weights) (fun () ->
-      let args =
-        if Telemetry.Span.enabled () then
-          [ ("weights", Telemetry.Json.Int weights) ]
-        else []
-      in
-      Telemetry.Span.with_span ~cat:"region" "region.boundary" ~args
-      @@ fun () ->
-      let all =
-        sweep_results ~caller:"Rate_region.boundary" ~key ~weights b
-      in
-      let buf = scratch point_scratch ~cap:(2 * List.length all) in
-      let kept = dedup_into buf all in
-      List.init kept (fun i ->
-          Numerics.Vec2.make
-            (Float.Array.unsafe_get buf (2 * i))
-            (Float.Array.unsafe_get buf ((2 * i) + 1)))
-      |> List.sort (fun (p : Numerics.Vec2.t) (q : Numerics.Vec2.t) ->
-             compare (p.Numerics.Vec2.x, p.Numerics.Vec2.y)
-               (q.Numerics.Vec2.x, q.Numerics.Vec2.y)))
+let polygon_keyed ~key b =
+  Telemetry.Span.with_span ~cat:"region" "region.polygon" (fun () ->
+      Numerics.Polygon.down_closure (boundary_keyed ~key b))
 
-let boundary ?weights b = boundary_keyed ~key:(bound_key b) ?weights b
+let polygon b = polygon_keyed ~key:(bound_key b) b
 
-let polygon_keyed ~key ?(weights = default_weights) b =
-  Engine.Memo.find_or_add polygon_cache (key, weights) (fun () ->
-      Telemetry.Span.with_span ~cat:"region" "region.polygon" (fun () ->
-          Numerics.Polygon.down_closure (boundary_keyed ~key ~weights b)))
+let area b = Numerics.Polygon.area (polygon b)
 
-let polygon ?weights b = polygon_keyed ~key:(bound_key b) ?weights b
-
-let area ?weights b = Numerics.Polygon.area (polygon ?weights b)
-
-let contains_region ?weights big small =
+let contains_region big small =
   let key = bound_key big in
   List.for_all
     (fun (p : Numerics.Vec2.t) ->
       achievable_keyed ~key big ~ra:p.Numerics.Vec2.x ~rb:p.Numerics.Vec2.y)
-    (boundary ?weights small)
+    (boundary small)
 
 let distance_outside b ~ra ~rb =
   let key = bound_key b in
@@ -572,8 +511,8 @@ let distance_outside b ~ra ~rb =
     Numerics.Polygon.distance_to_boundary (polygon_keyed ~key b)
       (Numerics.Vec2.make ra rb)
 
-let max_product ?weights b =
-  let pts = boundary ?weights b in
+let max_product b =
+  let pts = boundary b in
   (* the product is a quadratic along each frontier edge; its interior
      critical point is t* = -(x0 dy + y0 dx) / (2 dx dy) *)
   let edge_best (p : Numerics.Vec2.t) (q : Numerics.Vec2.t) =
@@ -613,10 +552,10 @@ let max_product ?weights b =
     in
     best
 
-let union_polygon ?weights bounds =
+let union_polygon bounds =
   if bounds = [] then invalid_arg "Rate_region.union_polygon: no regions";
   Numerics.Polygon.down_closure
-    (List.concat_map (fun b -> boundary ?weights b) bounds)
+    (List.concat_map boundary bounds)
 
 let binding_terms ?(eps = 1e-7) (b : Bound.t) r =
   List.filter
@@ -626,16 +565,4 @@ let binding_terms ?(eps = 1e-7) (b : Bound.t) r =
       abs_float (lhs -. rhs) <= eps *. Float.max 1. (abs_float rhs))
     b.Bound.terms
 
-let boundary_with_schedules ?(weights = default_weights) b =
-  let all =
-    sweep_results ~caller:"Rate_region.boundary_with_schedules"
-      ~key:(bound_key b) ~weights b
-  in
-  (* dedup by rate pair, keeping the first schedule seen for it *)
-  let close a b' =
-    abs_float (a.ra -. b'.ra) < 1e-7 && abs_float (a.rb -. b'.rb) < 1e-7
-  in
-  List.fold_left
-    (fun acc r -> if List.exists (close r) acc then acc else r :: acc)
-    [] all
-  |> List.sort (fun a b' -> compare (a.ra, a.rb) (b'.ra, b'.rb))
+let boundary_with_schedules b = frontier ~key:(bound_key b) b

@@ -4,9 +4,10 @@
     For a bound system [B] (see {!Bound}), the achievable set
     [{(Ra, Rb) : exists Delta in simplex, all constraints hold}] is the
     projection of a polytope and hence a convex polygon in the positive
-    quadrant, down-closed by construction. Its boundary is traced by
-    maximising [w Ra + (1-w) Rb] over a sweep of weights — each LP also
-    yields the optimising phase schedule. *)
+    quadrant, down-closed by construction. Its Pareto frontier is found
+    exactly by a dichotomic search over weighted LPs [max wa Ra + wb Rb]
+    (2V - 1 of them for V frontier vertices); each LP also yields the
+    optimising phase schedule. *)
 
 type opt_result = {
   ra : float;
@@ -31,14 +32,14 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
 
     Solutions are memoized in a process-wide thread-safe flat table
     ({!Engine.Flat_memo}) keyed on the bits of the bound's coefficients
-    and of the weight pair (see [docs/ENGINE.md]); repeated sweeps over
-    overlapping scenarios reuse LP solutions instead of re-solving. The
-    cache never changes results — only whether the simplex solver
-    actually runs. *)
+    and of the weight pair (see [docs/ENGINE.md]); repeated region
+    queries on one scenario reuse LP solutions instead of re-solving.
+    The cache never changes results — only whether the simplex solver
+    actually runs. This is the module's only memo table. *)
 
 val clear_cache : unit -> unit
-(** Drop this module's memoized LP optima, feasibility probes,
-    boundaries and polygons, and invalidate its warm-start solvers.
+(** Drop this module's memoized weighted LP optima and invalidate its
+    warm-start solvers.
     Caches above this module survive it — {!Optimize}'s sum-rate table
     among them — so a later {!Optimize.sum_rate} may
     still answer without solving. For a cold path through every layer
@@ -104,21 +105,26 @@ val max_rb : Bound.t -> opt_result
 
 val achievable : Bound.t -> ra:float -> rb:float -> bool
 (** Exact membership test for the rate pair (an LP feasibility probe over
-    the phase durations, memoized like {!max_weighted}). *)
+    the phase durations; not memoized). *)
 
-val boundary : ?weights:int -> Bound.t -> Numerics.Vec2.t list
-(** [boundary b] is the list of Pareto-frontier vertices obtained from a
-    sweep of [weights] (default 65) weight vectors, deduplicated, ordered
-    by increasing Ra. *)
+val boundary : Bound.t -> Numerics.Vec2.t list
+(** [boundary b] is every vertex of the region's Pareto frontier, from
+    the {!max_rb} corner to the {!max_ra} corner by increasing Ra. A
+    dichotomic search finds them: between two known vertices, one
+    weighted LP along the outward normal of their segment either finds
+    a vertex strictly beyond it (by a relative 1e-9), and the search
+    recurses on both halves, or shows the segment is an edge. It solves
+    2V - 1 LPs for V vertices, all in the calling domain and in a fixed
+    order, so the result does not depend on the domain count. *)
 
-val polygon : ?weights:int -> Bound.t -> Numerics.Vec2.t list
+val polygon : Bound.t -> Numerics.Vec2.t list
 (** The full down-closed region polygon (counter-clockwise, includes the
     origin and the axis intercepts) — suitable for area, containment and
     plotting. *)
 
-val area : ?weights:int -> Bound.t -> float
+val area : Bound.t -> float
 
-val contains_region : ?weights:int -> Bound.t -> Bound.t -> bool
+val contains_region : Bound.t -> Bound.t -> bool
 (** [contains_region big small]: every boundary vertex of [small] is
     achievable under [big] (exact for convex regions). *)
 
@@ -127,13 +133,13 @@ val distance_outside : Bound.t -> ra:float -> rb:float -> float
     the pair to the region's polygon — used to quantify by how much an
     HBC point escapes the MABC/TDBC outer bounds. *)
 
-val max_product : ?weights:int -> Bound.t -> Numerics.Vec2.t
+val max_product : Bound.t -> Numerics.Vec2.t
 (** The proportional-fair operating point: the rate pair on the Pareto
     frontier maximising [Ra * Rb] (equivalently [log Ra + log Rb]).
-    Exact up to the boundary discretisation: the product is maximised in
-    closed form on every frontier edge. *)
+    Exact: the frontier is exact and the product is maximised in closed
+    form on every frontier edge. *)
 
-val union_polygon : ?weights:int -> Bound.t list -> Numerics.Vec2.t list
+val union_polygon : Bound.t list -> Numerics.Vec2.t list
 (** Down-closed convex hull of the union of several regions — the
     time-sharing operation behind the |Q| > 1 form of the theorems
     (Fenchel–Bunt caps useful |Q| at 5): e.g. the discrete bounds
@@ -145,7 +151,7 @@ val binding_terms : ?eps:float -> Bound.t -> opt_result -> Bound.term list
     operating point — i.e. which cut-set/decoding step limits the
     protocol there. *)
 
-val boundary_with_schedules : ?weights:int -> Bound.t -> opt_result list
+val boundary_with_schedules : Bound.t -> opt_result list
 (** Like {!boundary} but keeps, for every Pareto vertex, the phase
     durations achieving it — what a scheduler actually needs to operate
     at that point. Ordered by increasing Ra. *)

@@ -223,8 +223,8 @@ let eval q =
   | Region ->
     let p = Option.get q.protocol in
     let bound = Bidir.Gaussian.bounds p q.bound scen in
-    let vertices = Bidir.Rate_region.boundary ~weights:q.weights bound in
-    let area = Bidir.Rate_region.area ~weights:q.weights bound in
+    let vertices = Bidir.Rate_region.boundary bound in
+    let area = Bidir.Rate_region.area bound in
     Json.Obj
       [ ("protocol", Json.String (Bidir.Protocol.name p));
         ("bound", Json.String (bound_name q.bound));

@@ -4,16 +4,16 @@
 
     A query is a pure function of its parameters — answers carry no
     timestamps and every float is quantized to 1e-6 before rendering
-    (well above the 1e-7 vertex dedup tolerance, far below any rate of
-    interest) — so the same query always renders byte-identical bytes,
-    whatever the domain count or warm-solver history. That is the
-    contract the response cache and the cross-domain CI smoke rely
-    on. *)
+    (well above the 1e-9 tolerance of the region's vertex search, far
+    below any rate of interest) — so the same query always renders
+    byte-identical bytes, whatever the domain count or warm-solver
+    history. That is the contract the response cache and the
+    cross-domain CI smoke rely on. *)
 
 type kind =
   | Sumrate  (** optimal sum rate, one protocol or all *)
   | Select   (** best protocol at the operating point *)
-  | Region   (** achievable-region boundary sweep + area *)
+  | Region   (** achievable-region frontier vertices + area *)
 
 val kind_name : kind -> string
 val kind_of_string : string -> kind option
@@ -25,9 +25,11 @@ type t = private {
   bound : Bidir.Bound.kind;
   protocol : Bidir.Protocol.t option;
       (** [Sumrate]: restrict to one protocol ([None] = all five).
-          [Region]: the protocol to sweep (required). Ignored by
+          [Region]: the protocol whose region is traced (required). Ignored by
           [Select]. *)
-  weights : int;  (** [Region] sweep resolution *)
+  weights : int;
+      (** accepted, range-checked, keyed and echoed, but no longer
+          read: the region is exact ({!Bidir.Rate_region.boundary}) *)
 }
 
 val make :
@@ -40,7 +42,7 @@ val make :
   unit ->
   (t, string) result
 (** Validated constructor. Defaults: 10 dB transmit power, the paper's
-    Fig. 4 gains (0, 5, 7) dB, inner bound, 33 weights. Rejects
+    Fig. 4 gains (0, 5, 7) dB, inner bound, [weights] 33. Rejects
     non-finite or out-of-range parameters ([-60, 60] dB, weights in
     [3, 513]) and a [Region] query without a protocol. *)
 

@@ -6,7 +6,7 @@
 val pool : Query.kind -> Query.t list
 (** The fixed query pool for one kind: a grid of transmit powers and
     gain triples (sum-rate and selection queries over all bounds and
-    protocols; region sweeps at modest resolution). Never empty. *)
+    protocols; MABC and TDBC region queries). Never empty. *)
 
 val check_pool : unit -> Query.t list
 (** The small fixed pool behind the [check:serve] leg: 16 distinct

@@ -336,10 +336,15 @@ let render st =
   (match st.progress with
   | None -> line "progress    (none yet)"
   | Some p ->
-    let frac = float_of_int p.completed /. float_of_int (max 1 p.total) in
-    line "progress    %s  %d/%d (%.1f%%)" p.name p.completed p.total
-      (if p.total > 0 then 100. *. frac else 0.);
-    line "            [%s]" (bar frac 40);
+    (* a total of 0 is unknown (a daemon without --max-requests): the
+       count alone, no bar *)
+    if p.total <= 0 then line "progress    %s  %d" p.name p.completed
+    else begin
+      let frac = float_of_int p.completed /. float_of_int p.total in
+      line "progress    %s  %d/%d (%.1f%%)" p.name p.completed p.total
+        (100. *. frac);
+      line "            [%s]" (bar frac 40)
+    end;
     line "throughput  %.2f/s%s" p.rate
       (match p.eta with
       | Some eta -> Printf.sprintf "   eta %s" (seconds eta)

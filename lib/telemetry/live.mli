@@ -37,7 +37,7 @@ type progress = {
   t : float;                 (** absolute unix time *)
   name : string;             (** "campaign:runner", "figures", … *)
   completed : int;
-  total : int;
+  total : int;               (** 0 when unknown *)
   rate : float;              (** units per second; 0 when unknown *)
   ci : float option;         (** widest 95% half-width so far *)
   ci_target : float option;
@@ -111,7 +111,8 @@ val registry : state -> Snapshot.t
 (** Every counter and histogram folded so far, name-sorted. *)
 
 val render : state -> string
-(** Multi-line frame: progress bar and ETA, throughput, CI half-width
+(** Multi-line frame: progress bar (the count alone when the total is
+    unknown) and ETA, throughput, CI half-width
     against its target, percentiles of the non-empty [*_seconds]
     histograms, pool busy/idle, GC totals.
     A pure function of the records fed, never of the wall clock. *)

@@ -144,12 +144,18 @@ let ignored_histograms =
 (* Retired counters: no longer registered, but baselines written before
    still carry them, and ignoring the names keeps those baselines from
    reporting them Missing. [engine.lp_solves] duplicated
-   [linprog.solves]; the others counted the live event ring's drops and
-   the leveled logger's records. *)
+   [linprog.solves]; the telemetry ones counted the live event ring's
+   drops and the leveled logger's records; the rate-region ones were
+   the boundary, polygon and feasibility memo tables, retired when the
+   region became exact. *)
 let ignored_counters =
   [ "engine.lp_solves"; "telemetry.stream.dropped_events";
     "telemetry.log.debug"; "telemetry.log.info"; "telemetry.log.warn";
-    "telemetry.log.error"; "telemetry.log.suppressed" ]
+    "telemetry.log.error"; "telemetry.log.suppressed";
+    "memo.rate_region.boundary.hits"; "memo.rate_region.boundary.misses";
+    "memo.rate_region.polygon.hits"; "memo.rate_region.polygon.misses";
+    "memo.rate_region.feasibility.hits";
+    "memo.rate_region.feasibility.misses" ]
 
 (* Seconds-valued resource budgets: gated one-sided on their sum, like
    Budget counters, but with slack for scheduler noise. Checked before

@@ -65,21 +65,21 @@ let test_figures_all_golden () =
    scenario sum-rate LP is stored once, in [optimize.sum_rate] (keyed
    on the coefficients its template reads); the ergodic table's 6 000
    fading samples are solved from their templates and stored nowhere;
-   [rate_region.weighted] holds only the region sweeps and other
-   symbolic queries. *)
+   [rate_region.weighted] holds only the region frontier searches and
+   other symbolic queries. *)
 let lp_history =
-  [ ("linprog.solves", 10_269);
-    ("linprog.pivots", 5_961);
-    ("linprog.warm_solves", 9_307);
-    ("linprog.kernel_row_ops", 440_080);
-    ("linprog.refactor_eliminations", 2_463);
-    ("linprog.factored_solves", 7_713);
-    ("engine.cache_hits", 1_413);
-    ("engine.cache_misses", 4_297);
+  [ ("linprog.solves", 8_919);
+    ("linprog.pivots", 5_965);
+    ("linprog.warm_solves", 7_956);
+    ("linprog.kernel_row_ops", 439_348);
+    ("linprog.refactor_eliminations", 2_431);
+    ("linprog.factored_solves", 7_446);
+    ("engine.cache_hits", 1_437);
+    ("engine.cache_misses", 2_892);
     ("memo.optimize.sum_rate.hits", 1_405);
     ("memo.optimize.sum_rate.misses", 2_764);
-    ("memo.rate_region.weighted.hits", 6);
-    ("memo.rate_region.weighted.misses", 1_475);
+    ("memo.rate_region.weighted.hits", 32);
+    ("memo.rate_region.weighted.misses", 125);
   ]
 
 let test_lp_history_pinned () =

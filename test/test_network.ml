@@ -96,7 +96,7 @@ let prop_inner_within_outer_per_pair =
               let p = choice.RS.protocol in
               let inner = Bidir.Gaussian.bounds p Bidir.Bound.Inner s in
               let outer = Bidir.Gaussian.bounds p Bidir.Bound.Outer s in
-              if not (Bidir.Rate_region.contains_region ~weights:9 outer inner)
+              if not (Bidir.Rate_region.contains_region outer inner)
               then ok := false)
             row)
         table.N.Assign.choices;

@@ -211,15 +211,18 @@ let test_pool_idle_budget_histogram () =
   Alcotest.(check bool) "empty vs empty matches" true
     (S.identical (S.diff empty empty'))
 
-(* [engine.lp_solves] is no longer registered: a baseline written
-   while it was still carries it, and must not report it missing. *)
 (* Names no longer registered that older baselines still carry: the
-   counters of the retired live event ring and leveled logger, and the
-   heartbeat timer. *)
+   counters of the retired live event ring and leveled logger, of the
+   retired rate-region boundary, polygon and feasibility memo tables,
+   and the heartbeat timer. *)
 let retired_counters =
   [ "engine.lp_solves"; "telemetry.stream.dropped_events";
     "telemetry.log.debug"; "telemetry.log.info"; "telemetry.log.warn";
-    "telemetry.log.error"; "telemetry.log.suppressed" ]
+    "telemetry.log.error"; "telemetry.log.suppressed";
+    "memo.rate_region.boundary.hits"; "memo.rate_region.boundary.misses";
+    "memo.rate_region.polygon.hits"; "memo.rate_region.polygon.misses";
+    "memo.rate_region.feasibility.hits";
+    "memo.rate_region.feasibility.misses" ]
 
 let test_retired_lp_solves_ignored () =
   let retired_hist = "telemetry.stream.flush_seconds" in

@@ -1127,8 +1127,8 @@ let test_live_frame_from_histograms () =
        [ ("lp.solve_seconds", lat);
          ("engine.pool.busy_seconds", busy);
          ("engine.pool.idle_seconds", idle) ]);
-  let frame = L.render st in
   let has needle =
+    let frame = L.render st in
     let nh = String.length frame and nn = String.length needle in
     let rec at i = i + nn <= nh && (String.sub frame i nn = needle || at (i + 1)) in
     at 0
@@ -1145,7 +1145,14 @@ let test_live_frame_from_histograms () =
     (has "engine.pool.busy_seconds");
   Alcotest.(check bool) "gc line" true (has "minor 4, major 0");
   Alcotest.(check bool) "elapsed from the file's timestamps" true
-    (has "elapsed     2.0 s")
+    (has "elapsed     2.0 s");
+  (* a progress record with an unknown total (0): the count, no bar *)
+  L.feed_line st
+    "{\"record\":\"progress\",\"t\":13.0,\"name\":\"serve\",\"completed\":100,\"total\":0,\"rate\":1.0,\"ci\":null,\"ci_target\":null,\"eta\":null}";
+  Alcotest.(check bool) "unknown total: the count alone" true
+    (has "progress    serve  100\n");
+  Alcotest.(check bool) "unknown total: no fraction" false (has "100/0");
+  Alcotest.(check bool) "unknown total: no bar" false (has "            [")
 
 (* ------------------------------------------------------------------ *)
 (* Analyze on adversarial traces                                        *)
