@@ -7,38 +7,41 @@ type sum_rate_result = {
   deltas : float array;
 }
 
-(* One flat cache (see [Engine.Flat_memo]) over the compiled
-   templates: the key is the (protocol, kind) tag plus the bits of the
-   mutual informations the system reads ([Rate_region.template_key]),
-   the value [ra; rb; d_1; ...; d_L]. Scenarios that give one system
-   the same coefficients share an entry — DT reads only C(P G_ab), so a
-   relay-position sweep at one power is a single LP. *)
-let sum_rate_cache = Engine.Flat_memo.create ~name:"optimize.sum_rate" ()
+(* One memo table (see [Engine.Memo]) over the compiled templates: the
+   key is the (protocol, kind) tag plus the bits of the mutual
+   informations the system reads ([Rate_region.template_key]), the value
+   [ra; rb; d_1; ...; d_L] ([Rate_region.encode_optimum]). Scenarios
+   that give one system the same coefficients share an entry — DT reads
+   only C(P G_ab), so a relay-position sweep at one power is a single
+   LP. *)
+let sum_rate_cache = Engine.Memo.create ~name:"optimize.sum_rate" ()
+
+let decode_result protocol kind b off len =
+  let ra = Rate_region.optimum_word b off 0
+  and rb = Rate_region.optimum_word b off 1 in
+  { protocol;
+    bound_kind = kind;
+    sum_rate = ra +. rb;
+    ra;
+    rb;
+    deltas = Rate_region.optimum_deltas b off len;
+  }
 
 let sum_rate_of_mi protocol kind m =
   let t = Rate_region.sum_rate_template protocol kind in
-  let v =
-    Engine.Flat_memo.find_or_add sum_rate_cache (Rate_region.template_key t m)
-      (fun () ->
-        (* a cold pass runs this once per LP: build the span's args
-           only while tracing is on *)
-        let args =
-          if Telemetry.Span.enabled () then
-            [ ("protocol", Telemetry.Json.String (Protocol.name protocol));
-              ("bound", Telemetry.Json.String (Bound.kind_name kind));
-            ]
-          else []
-        in
-        Telemetry.Span.with_span ~cat:"optimize" "optimize.sum_rate" ~args
-        @@ fun () -> Rate_region.solve_template t m)
-  in
-  { protocol;
-    bound_kind = kind;
-    sum_rate = v.(0) +. v.(1);
-    ra = v.(0);
-    rb = v.(1);
-    deltas = Array.sub v 2 (Array.length v - 2);
-  }
+  Engine.Memo.find_or_add sum_rate_cache (Rate_region.template_key t m)
+    ~decode:(decode_result protocol kind) (fun () ->
+      (* a cold pass runs this once per LP: build the span's args only
+         while tracing is on *)
+      let args =
+        if Telemetry.Span.enabled () then
+          [ ("protocol", Telemetry.Json.String (Protocol.name protocol));
+            ("bound", Telemetry.Json.String (Bound.kind_name kind));
+          ]
+        else []
+      in
+      Telemetry.Span.with_span ~cat:"optimize" "optimize.sum_rate" ~args
+      @@ fun () -> Rate_region.encode_optimum (Rate_region.solve_template t m))
 
 (* [Gaussian.mi] rejects an invalid scenario before the memo is
    probed, so nothing is stored for it. *)
@@ -66,7 +69,7 @@ let crossover_powers_db ?(lo_db = -10.) ?(hi_db = 25.) ?(samples = 141)
   in
   Numerics.Root.crossings ~f:diff ~lo:lo_db ~hi:hi_db ~samples
 
-let hbc_strict_advantage_uncached scenario =
+let hbc_strict_advantage scenario =
   Telemetry.Span.with_span ~cat:"optimize" "optimize.hbc_advantage"
   @@ fun () ->
   let hbc = Gaussian.bounds Protocol.Hbc Bound.Inner scenario in
@@ -101,14 +104,3 @@ let hbc_strict_advantage_uncached scenario =
          (fun ((_, _, m_best) as best) ((_, _, m) as cand) ->
            if m > m_best then cand else best)
          first rest)
-
-(* The full advantage search (the exact HBC frontier, two outer-bound
-   polygons and per-candidate feasibility probes) is deterministic in
-   the scenario, so its verdict is cached whole. *)
-let hbc_advantage_cache :
-    (Gaussian.scenario, (float * float * float) option) Engine.Memo.t =
-  Engine.Memo.create ~name:"optimize.hbc_advantage" ()
-
-let hbc_strict_advantage scenario =
-  Engine.Memo.find_or_add hbc_advantage_cache scenario (fun () ->
-      hbc_strict_advantage_uncached scenario)

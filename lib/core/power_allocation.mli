@@ -33,8 +33,8 @@ type result = {
 val sum_rate :
   ?resolution:int -> ?refinements:int -> Protocol.t -> Gaussian.scenario ->
   constraint_kind -> result
-(** [sum_rate p s kind] maximises [Ra + Rb]. [resolution] (default 16)
-    is the simplex grid density per round; [refinements] (default 2)
+(** [sum_rate p s kind] maximises [Ra + Rb]. [resolution] (default 20)
+    is the simplex grid density per round; [refinements] (default 4)
     the number of local-refinement rounds. Under [Peak] the result
     matches {!Optimize.sum_rate} up to grid error (a library
     self-check). *)

@@ -82,9 +82,34 @@ let point_key key x y =
   put_float k (n + 8) y;
   Bytes.unsafe_to_string k
 
-(* Optima are stored flat as [ra; rb; d_1; ...; d_L] (see
-   [Engine.Flat_memo]): no entry is a heap object the GC must trace. *)
-let weighted_cache = Engine.Flat_memo.create ~name:"rate_region.weighted" ()
+(* Memoized optima are stored as [ra; rb; d_1; ...; d_L] in
+   native-endian 8-byte words (see [Engine.Memo]): no entry is a heap
+   object the GC must trace, and a hit decodes straight into the
+   caller's result. *)
+let encode_optimum v =
+  let b = Bytes.create (8 * Array.length v) in
+  for i = 0 to Array.length v - 1 do
+    Bytes.set_int64_ne b (8 * i) (Int64.bits_of_float (Array.unsafe_get v i))
+  done;
+  Bytes.unsafe_to_string b
+
+let optimum_word b off i =
+  Int64.float_of_bits (Bytes.get_int64_ne b (off + (8 * i)))
+
+let optimum_deltas b off len =
+  let d = Array.create_float ((len / 8) - 2) in
+  for i = 0 to Array.length d - 1 do
+    Array.unsafe_set d i (optimum_word b off (i + 2))
+  done;
+  d
+
+let decode_optimum b off len =
+  { ra = optimum_word b off 0;
+    rb = optimum_word b off 1;
+    deltas = optimum_deltas b off len;
+  }
+
+let weighted_cache = Engine.Memo.create ~name:"rate_region.weighted" ()
 
 (* --- per-domain warm-start solver slots ---------------------------- *)
 
@@ -96,15 +121,13 @@ let weighted_cache = Engine.Flat_memo.create ~name:"rate_region.weighted" ()
    rebuilds in place and carries the optimal basis across. Instances
    live in [Domain.DLS], so pool workers warm-start independently and
    no instance is ever shared between domains (the Solver ownership
-   contract). An epoch bumped by [clear_cache] / [Memo.clear_all]
-   invalidates every domain's slots, so "cold cache" runs rebuild their
-   solvers from scratch. *)
+   contract). An epoch bumped by [Engine.Memo.clear_all] invalidates
+   every domain's slots, so "cold cache" runs rebuild their solvers
+   from scratch. *)
 
 let solver_epoch = Atomic.make 0
 
-let bump_solver_epoch () = Atomic.incr solver_epoch
-
-let () = Engine.Memo.on_clear_all bump_solver_epoch
+let () = Engine.Memo.on_clear_all (fun () -> Atomic.incr solver_epoch)
 
 type solver_slot = {
   solver : Linprog.Solver.t;
@@ -170,10 +193,6 @@ let slot_for ~shape ~key ~nvars b constrs =
       (Linprog.Solver.create ~nvars ~constrs:(constrs b))
       ~nvars ~loaded:(Bytes.of_string key)
 
-let clear_cache () =
-  Engine.Flat_memo.clear weighted_cache;
-  bump_solver_epoch ()
-
 (* Latency of every weighted optimum and feasibility probe actually
    solved; memo hits never reach this. Template solves are not timed
    one by one: a span and two clock reads cost about a tenth of one,
@@ -204,18 +223,15 @@ let solve_weighted ~key b ~wa ~wb =
   | Linprog.Solver.Infeasible ->
     failwith "Rate_region.max_weighted: infeasible bound system"
 
-let of_flat v =
-  { ra = v.(0); rb = v.(1); deltas = Array.sub v 2 (Array.length v - 2) }
-
 (* [~key] must be [bound_key b]; frontier searches compute it once and
    reuse it across their LPs — building the key is cheap next to a
    solve but not next to a cache hit. *)
 let max_weighted_keyed ~key b ~wa ~wb =
   if wa < 0. || wb < 0. || wa +. wb <= 0. then
     invalid_arg "Rate_region.max_weighted: bad weights";
-  of_flat
-    (Engine.Flat_memo.find_or_add weighted_cache (point_key key wa wb)
-       (fun () -> solve_weighted ~key b ~wa ~wb))
+  Engine.Memo.find_or_add weighted_cache (point_key key wa wb)
+    ~decode:decode_optimum (fun () ->
+      encode_optimum (solve_weighted ~key b ~wa ~wb))
 
 let max_weighted b ~wa ~wb = max_weighted_keyed ~key:(bound_key b) b ~wa ~wb
 

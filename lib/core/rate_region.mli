@@ -30,20 +30,26 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
     Raises [Failure] if the LP misbehaves (cannot happen for bound
     systems built by {!Gaussian} — they are bounded and feasible).
 
-    Solutions are memoized in a process-wide thread-safe flat table
-    ({!Engine.Flat_memo}) keyed on the bits of the bound's coefficients
+    Solutions are memoized in a process-wide thread-safe table
+    ({!Engine.Memo}) keyed on the bits of the bound's coefficients
     and of the weight pair (see [docs/ENGINE.md]); repeated region
     queries on one scenario reuse LP solutions instead of re-solving.
     The cache never changes results — only whether the simplex solver
-    actually runs. This is the module's only memo table. *)
+    actually runs. This is the module's only memo table;
+    {!Engine.Memo.clear_all} empties it and invalidates the module's
+    warm-start solvers. *)
 
-val clear_cache : unit -> unit
-(** Drop this module's memoized weighted LP optima and invalidate its
-    warm-start solvers.
-    Caches above this module survive it — {!Optimize}'s sum-rate table
-    among them — so a later {!Optimize.sum_rate} may
-    still answer without solving. For a cold path through every layer
-    use {!Engine.Memo.clear_all}. Never needed for correctness. *)
+val encode_optimum : float array -> string
+(** [[ra; rb; d_1; ...; d_L]] as the memo value of an LP optimum:
+    native-endian 8-byte words, bit for bit. *)
+
+val optimum_word : Bytes.t -> int -> int -> float
+(** [optimum_word b off i] is word [i] of the optimum encoded at
+    [b.[off]]. *)
+
+val optimum_deltas : Bytes.t -> int -> int -> float array
+(** [optimum_deltas b off len]: a fresh copy of [[d_1; ...; d_L]] from
+    the [len] bytes of an optimum encoded at [b.[off]]. *)
 
 val system_tag : Protocol.t -> Bound.kind -> int
 (** A small integer, distinct for every (protocol, bound kind) pair:

@@ -1,64 +1,76 @@
-(** Thread-safe memoization tables with a global enable switch.
+(** The memo table: [string] keys to byte-string values, thread-safe,
+    behind one global enable switch.
 
-    A table maps canonical keys to computed values; lookups from any
-    domain are serialised by a per-table mutex, but computations run
-    OUTSIDE the lock so concurrent misses on different keys proceed in
-    parallel (two domains racing on the SAME key may both compute; the
-    first insertion wins and both observe the stored value — harmless
-    as long as the computation is deterministic, which is the contract
-    of every caller in this repo).
+    Every cache of the evaluation stack is one of these: the LP optima
+    of [Rate_region] and [Optimize] (stored as 8-byte float words) and
+    the serving plane's rendered responses. An entry is no heap object
+    at all: its key and value bytes sit in one record of [Bytes]
+    chunks, indexed by an open-addressing [int array], so a table of
+    tens of thousands of entries costs the major GC a handful of blocks
+    to mark. Chunks are allocated on the first insert (16 KB each to
+    start), grow by doubling without ever being copied, and are kept by
+    {!clear}, which only rewinds the fill pointer and zeroes the index.
 
-    Hits and misses are recorded in {!Stats}. When the global switch is
-    off ({!set_enabled} [false]), [find_or_add] always computes and
-    records nothing, so disabling the cache changes wall time but never
-    results. *)
+    Lookups from any domain are serialised by a per-table mutex, but
+    computations run OUTSIDE the lock, so concurrent misses on
+    different keys proceed in parallel. Two domains racing on the SAME
+    key may both compute; the first insertion wins and both return the
+    stored value — harmless as long as the computation is
+    deterministic, which is the contract of every caller in this repo.
+    An exception from a computation stores nothing. Keys are equal iff
+    their bytes are.
 
-type ('k, 'v) t
+    When the global switch is off ({!with_enabled} [false]) nothing is
+    looked up, stored or counted, so disabling the caches changes wall
+    time but never results. *)
 
-val create : ?name:string -> ?size:int -> unit -> ('k, 'v) t
-(** [size] is the initial hash-table capacity (default 256). Keys are
-    compared with structural equality and hashed with [Hashtbl.hash].
-    When [name] is given the table additionally maintains its own
-    [memo.<name>.hits] / [memo.<name>.misses] counters in the
-    {!Telemetry.Metrics} registry, so per-cache hit rates show up in
-    [--metrics] output alongside the global totals in {!Stats}. *)
+type t
 
-val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-(** [find_or_add t k compute] returns the cached value for [k], or runs
-    [compute ()], stores the result and returns it. Exceptions from
-    [compute] propagate and nothing is stored. *)
+val create : ?name:string -> unit -> t
+(** A new empty table, registered with {!clear_all}. When [name] is
+    given the table counts its lookups in [memo.<name>.hits] /
+    [memo.<name>.misses] in the {!Telemetry.Metrics} registry. *)
 
-val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** Lookup without computing, counted as a hit or miss. Always [None]
-    (and not counted) when the global switch is off. For callers that
-    batch their misses into one parallel computation before storing
-    the results with {!put}. *)
+val find_or_add :
+  t -> string -> decode:(Bytes.t -> int -> int -> 'a) -> (unit -> string) -> 'a
+(** [find_or_add t k ~decode compute] is [decode b off len] on the
+    [len] value bytes stored for [k] at [b.[off]], or else runs
+    [compute ()], stores its result and decodes that. A stored value is
+    decoded straight from the table's storage, under its lock: [decode]
+    must only read [b], and only the given range, and must copy what it
+    keeps. When the global switch is off it decodes [compute ()] and
+    stores nothing. *)
 
-val put : ('k, 'v) t -> 'k -> 'v -> unit
+val find_opt : t -> string -> string option
+(** A copy of the value stored for [k], counted as a hit or a miss.
+    Always [None] (and not counted) when the global switch is off. For
+    callers that batch their misses into one parallel computation
+    before storing the results with {!put}. *)
+
+val put : t -> string -> string -> unit
 (** Store a computed value. First writer wins (matching
     {!find_or_add}'s race policy); a no-op when the global switch is
     off, so a disabled cache never retains results. *)
 
-val clear : ('k, 'v) t -> unit
-val length : ('k, 'v) t -> int
+val clear : t -> unit
+(** Drop every entry, keeping the chunks for the next fill. *)
+
+val length : t -> int
 
 val clear_all : unit -> unit
-(** Clear every table ever created (each [create] registers itself),
-    then run every {!on_clear_all} hook. This is what "cold cache"
-    means in benchmarks: no layer of the evaluation stack keeps a
-    memoized result across the call. *)
+(** Empty every table ever created and run every {!on_clear_all}
+    hook. This is what "cold cache" means in benchmarks: no layer of
+    the evaluation stack keeps a memoized result across the call. *)
 
 val on_clear_all : (unit -> unit) -> unit
-(** Register a hook to run after every {!clear_all}. For caches that
-    cannot live in a table registry (e.g. per-domain solver instances
-    keyed through [Domain.DLS]) the hook typically bumps an epoch that
-    each domain checks before reusing its cache. Every {!Flat_memo}
-    table registers its [clear] here. Hooks are never unregistered;
-    register from module initialisers (or table creation) only. *)
+(** Register a hook to run on every {!clear_all}. For caches that
+    cannot be a table (e.g. per-domain solver instances keyed through
+    [Domain.DLS]) the hook typically bumps an epoch that each domain
+    checks before reusing its cache. Hooks are never unregistered;
+    register from module initialisers only. *)
 
 val enabled : unit -> bool
-val set_enabled : bool -> unit
-(** Global switch shared by all tables (default: enabled). *)
+(** The global switch shared by all tables (default: enabled). *)
 
 val with_enabled : bool -> (unit -> 'a) -> 'a
 (** Run a thunk with the switch temporarily forced to the given state,

@@ -26,8 +26,6 @@ type snapshot = {
   summaries : histogram_line list;
 }
 
-let cache_hits = Telemetry.Metrics.counter "engine.cache_hits"
-let cache_misses = Telemetry.Metrics.counter "engine.cache_misses"
 let pool_tasks = Telemetry.Metrics.counter "engine.pool_tasks"
 
 (* Owned and written by the LP layer ([Linprog.Solver]); the registry
@@ -44,8 +42,6 @@ let gc_minor_words = Telemetry.Metrics.counter "gc.minor_words"
 let gc_major_collections = Telemetry.Metrics.counter "gc.major_collections"
 let lp_alloc_bytes = Telemetry.Metrics.counter "linprog.alloc_bytes"
 
-let record_hit () = Telemetry.Metrics.incr cache_hits
-let record_miss () = Telemetry.Metrics.incr cache_misses
 let record_pool_tasks n = Telemetry.Metrics.add pool_tasks n
 
 let phase_prefix = "phase."
@@ -58,6 +54,19 @@ let timed label f =
 (* Histograms surfaced in the --stats block without needing --metrics:
    the two every regression hunt starts from. *)
 let summary_histograms = [ "lp.solve_seconds"; "netsim.queue_depth" ]
+
+(* Summed [memo.<table>.<kind>] counters: every named memo table
+   counts its own lookups, so the totals are derived, not recounted. *)
+let memo_total kind =
+  let suffix = "." ^ kind in
+  List.fold_left
+    (fun acc (name, v) ->
+      if String.starts_with ~prefix:"memo." name
+         && String.ends_with ~suffix name
+      then acc + v
+      else acc)
+    0
+    (Telemetry.Metrics.counters ())
 
 let snapshot () =
   let plen = String.length phase_prefix in
@@ -94,8 +103,8 @@ let snapshot () =
     lp_pivots = Telemetry.Metrics.value lp_pivots;
     lp_warm_solves = Telemetry.Metrics.value lp_warm_solves;
     lp_phase1_skipped = Telemetry.Metrics.value lp_phase1_skipped;
-    cache_hits = Telemetry.Metrics.value cache_hits;
-    cache_misses = Telemetry.Metrics.value cache_misses;
+    cache_hits = memo_total "hits";
+    cache_misses = memo_total "misses";
     pool_tasks = Telemetry.Metrics.value pool_tasks;
     gc_minor_words = Telemetry.Metrics.value gc_minor_words;
     gc_major_collections = Telemetry.Metrics.value gc_major_collections;

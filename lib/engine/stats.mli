@@ -3,10 +3,10 @@
     time per named phase. All counters are atomic and safe to update
     from any domain.
 
-    Since the telemetry subsystem landed this module is a view over
-    {!Telemetry.Metrics}: the counters are registered under [engine.*]
-    (the LP figures are read from the LP layer's own [linprog.*]),
-    phase timers are histograms under [phase.<label>] (so [--metrics]
+    This module is a view over {!Telemetry.Metrics}: the pool counter
+    is registered under [engine.*], the LP figures are read from the LP
+    layer's own [linprog.*], the cache figures are the sums of the
+    [memo.<table>.*] counters of {!Memo}, phase timers are histograms under [phase.<label>] (so [--metrics]
     exports them with percentiles), and {!reset} resets the whole
     registry. The snapshot/[to_string] surface and output format are
     unchanged. *)
@@ -30,8 +30,12 @@ type snapshot = {
       (** solves the warm-start engine answered from a previous basis *)
   lp_phase1_skipped : int;
       (** warm solves that needed no phase-1 work at all *)
-  cache_hits : int;      (** memo lookups answered without solving *)
-  cache_misses : int;    (** memo lookups that had to compute *)
+  cache_hits : int;
+      (** memo lookups answered without solving: the sum of every
+          [memo.<table>.hits] counter *)
+  cache_misses : int;
+      (** memo lookups that had to compute: the sum of every
+          [memo.<table>.misses] counter *)
   pool_tasks : int;      (** items dispatched through parallel pool maps *)
   gc_minor_words : int;
       (** minor-heap words allocated while resource tracking was on *)
@@ -47,8 +51,6 @@ type snapshot = {
           they have samples *)
 }
 
-val record_hit : unit -> unit
-val record_miss : unit -> unit
 val record_pool_tasks : int -> unit
 
 val timed : string -> (unit -> 'a) -> 'a

@@ -8,11 +8,11 @@ let batch_size_h =
   Telemetry.Metrics.histogram ~lo:1. ~growth:1.02 ~buckets:256
     "serve.batch_size"
 
-(* Response cache: canonical query key -> rendered body. Unnamed so it
-   reports through the serve.* counters above rather than doubling
-   them as memo.* pairs; registered like every memo table, so
-   [Engine.Memo.clear_all] empties it. *)
-let cache : (string, string) Engine.Memo.t = Engine.Memo.create ~size:1024 ()
+(* Response cache: canonical query key -> rendered body. Unnamed, so
+   its lookups are counted once, by the serve.* counters above; a
+   memo table like every other, so [Engine.Memo.clear_all] empties
+   it. *)
+let cache = Engine.Memo.create ()
 
 let cache_length () = Engine.Memo.length cache
 

@@ -1,6 +1,6 @@
 (** The admission path between the HTTP front end and the evaluation
-    stack: every query goes through a process-wide memo-backed response
-    cache; the misses of a batch are deduplicated and fanned across
+    stack: every query goes through a process-wide response cache (an
+    {!Engine.Memo} table of rendered bodies); the misses of a batch are deduplicated and fanned across
     {!Engine.Pool} in one [map_array]; the computed bodies are stored
     back so repeated queries are answered without touching a solver.
 

@@ -4,8 +4,8 @@
     lock-free to update, so the intended pattern is to resolve handles
     once (at module initialisation or per phase) and update them on the
     hot path. Names are dotted paths ([lp.solve_seconds],
-    [engine.cache_hits]); snapshots render them sorted, so output is
-    deterministic. *)
+    [memo.optimize.sum_rate.hits]); snapshots render them sorted, so
+    output is deterministic. *)
 
 type counter
 

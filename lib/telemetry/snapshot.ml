@@ -147,7 +147,9 @@ let ignored_histograms =
    [linprog.solves]; the telemetry ones counted the live event ring's
    drops and the leveled logger's records; the rate-region ones were
    the boundary, polygon and feasibility memo tables, retired when the
-   region became exact. *)
+   region became exact; the HBC-advantage memo table never hit; and
+   [engine.cache_*] recounted every memo lookup, now summed from the
+   [memo.*] counters instead. *)
 let ignored_counters =
   [ "engine.lp_solves"; "telemetry.stream.dropped_events";
     "telemetry.log.debug"; "telemetry.log.info"; "telemetry.log.warn";
@@ -155,7 +157,9 @@ let ignored_counters =
     "memo.rate_region.boundary.hits"; "memo.rate_region.boundary.misses";
     "memo.rate_region.polygon.hits"; "memo.rate_region.polygon.misses";
     "memo.rate_region.feasibility.hits";
-    "memo.rate_region.feasibility.misses" ]
+    "memo.rate_region.feasibility.misses";
+    "memo.optimize.hbc_advantage.hits"; "memo.optimize.hbc_advantage.misses";
+    "engine.cache_hits"; "engine.cache_misses" ]
 
 (* Seconds-valued resource budgets: gated one-sided on their sum, like
    Budget counters, but with slack for scheduler noise. Checked before

@@ -96,45 +96,6 @@ let test_pool_concurrent_overlapping_maps () =
     [ "engine.pool.queue_wait_seconds"; "engine.pool.busy_seconds";
       "engine.pool.idle_seconds"; "engine.pool.chunk_seconds" ]
 
-(* ------------------------------------------------------------------ *)
-(* Memo                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_memo_computes_once () =
-  let t : (int, int) Engine.Memo.t = Engine.Memo.create () in
-  let calls = ref 0 in
-  let compute () =
-    incr calls;
-    42
-  in
-  Alcotest.(check int) "first" 42 (Engine.Memo.find_or_add t 1 compute);
-  Alcotest.(check int) "second" 42 (Engine.Memo.find_or_add t 1 compute);
-  Alcotest.(check int) "computed once" 1 !calls;
-  Alcotest.(check int) "length" 1 (Engine.Memo.length t);
-  Engine.Memo.clear t;
-  Alcotest.(check int) "cleared" 0 (Engine.Memo.length t)
-
-let test_memo_disabled_recomputes () =
-  let t : (int, int) Engine.Memo.t = Engine.Memo.create () in
-  let calls = ref 0 in
-  let compute () =
-    incr calls;
-    7
-  in
-  Engine.Memo.with_enabled false (fun () ->
-      ignore (Engine.Memo.find_or_add t 1 compute);
-      ignore (Engine.Memo.find_or_add t 1 compute));
-  Alcotest.(check int) "computed twice when disabled" 2 !calls;
-  Alcotest.(check int) "nothing stored" 0 (Engine.Memo.length t);
-  Alcotest.(check bool) "switch restored" true (Engine.Memo.enabled ())
-
-let test_memo_exception_stores_nothing () =
-  let t : (int, int) Engine.Memo.t = Engine.Memo.create () in
-  (match Engine.Memo.find_or_add t 1 (fun () -> failwith "boom") with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure _ -> ());
-  Alcotest.(check int) "nothing stored" 0 (Engine.Memo.length t)
-
 (* The rate-region memo keys a bound system by the exact bits of its
    coefficients: observed through the table's public hit/miss counters,
    a repeat is a hit, and bounds one ulp or one zero sign apart never
@@ -147,7 +108,7 @@ let weighted_traffic b1 b2 =
     Telemetry.Metrics.counter ("memo.rate_region.weighted." ^ kind)
   in
   let hits = counter "hits" and misses = counter "misses" in
-  Bidir.Rate_region.clear_cache ();
+  Engine.Memo.clear_all ();
   let h0 = Telemetry.Metrics.value hits
   and m0 = Telemetry.Metrics.value misses in
   List.iter
@@ -189,10 +150,11 @@ let test_bound_key_zero_sign () =
   Alcotest.check traffic "0. vs -0.: 2 misses" (0, 2) (weighted_traffic b b')
 
 (* ------------------------------------------------------------------ *)
-(* Flat memo                                                           *)
+(* Flat memo: the one memo table, [Engine.Memo]                        *)
 (* ------------------------------------------------------------------ *)
 
-let floats = Alcotest.(array (float 0.))
+let find_or_add t k compute =
+  Engine.Memo.find_or_add t k ~decode:Bytes.sub_string compute
 
 (* a key holding the IEEE-754 bits of [x] *)
 let bits_key x =
@@ -205,117 +167,131 @@ let counted v =
   ( calls,
     fun () ->
       incr calls;
-      Array.copy v )
+      v )
 
 let test_flat_computes_once () =
-  let t = Engine.Flat_memo.create ~name:"test.flat" () in
+  let t = Engine.Memo.create ~name:"test.flat" () in
   let counter kind = Telemetry.Metrics.counter ("memo.test.flat." ^ kind) in
   let h0 = Telemetry.Metrics.value (counter "hits")
   and m0 = Telemetry.Metrics.value (counter "misses") in
-  let calls, compute = counted [| 1.5; -2. |] in
-  Alcotest.check floats "first" [| 1.5; -2. |]
-    (Engine.Flat_memo.find_or_add t "k" compute);
-  let hit = Engine.Flat_memo.find_or_add t "k" compute in
-  Alcotest.check floats "second" [| 1.5; -2. |] hit;
+  let calls, compute = counted "1.5,-2" in
+  Alcotest.(check string) "first" "1.5,-2" (find_or_add t "k" compute);
+  Alcotest.(check string) "second" "1.5,-2" (find_or_add t "k" compute);
   Alcotest.(check int) "computed once" 1 !calls;
   Alcotest.(check int) "hits" 1 (Telemetry.Metrics.value (counter "hits") - h0);
   Alcotest.(check int) "misses" 1
     (Telemetry.Metrics.value (counter "misses") - m0);
-  hit.(0) <- 99.;
-  Alcotest.check floats "a hit is a copy" [| 1.5; -2. |]
-    (Engine.Flat_memo.find_or_add t "k" compute);
-  Alcotest.(check int) "length" 1 (Engine.Flat_memo.length t)
+  Alcotest.(check (option string)) "find_opt" (Some "1.5,-2")
+    (Engine.Memo.find_opt t "k");
+  Alcotest.(check int) "find_opt counts" 2
+    (Telemetry.Metrics.value (counter "hits") - h0);
+  Alcotest.(check int) "length" 1 (Engine.Memo.length t)
 
 let test_flat_disabled_recomputes () =
-  let t = Engine.Flat_memo.create () in
-  let calls, compute = counted [| 7. |] in
+  let t = Engine.Memo.create () in
+  let calls, compute = counted "7" in
   Engine.Memo.with_enabled false (fun () ->
-      ignore (Engine.Flat_memo.find_or_add t "k" compute);
-      ignore (Engine.Flat_memo.find_or_add t "k" compute));
+      ignore (find_or_add t "k" compute);
+      ignore (find_or_add t "k" compute);
+      Engine.Memo.put t "k" "8";
+      Alcotest.(check (option string)) "find_opt" None
+        (Engine.Memo.find_opt t "k"));
   Alcotest.(check int) "computed twice when disabled" 2 !calls;
-  Alcotest.(check int) "nothing stored" 0 (Engine.Flat_memo.length t)
+  Alcotest.(check int) "nothing stored" 0 (Engine.Memo.length t);
+  Alcotest.(check bool) "switch restored" true (Engine.Memo.enabled ())
 
 let test_flat_exception_stores_nothing () =
-  let t = Engine.Flat_memo.create () in
-  (match Engine.Flat_memo.find_or_add t "k" (fun () -> failwith "boom") with
+  let t = Engine.Memo.create () in
+  (match find_or_add t "k" (fun () -> failwith "boom") with
   | _ -> Alcotest.fail "expected failure"
   | exception Failure _ -> ());
-  Alcotest.(check int) "nothing stored" 0 (Engine.Flat_memo.length t);
-  Alcotest.check floats "computes after" [| 3. |]
-    (Engine.Flat_memo.find_or_add t "k" (fun () -> [| 3. |]))
+  Alcotest.(check int) "nothing stored" 0 (Engine.Memo.length t);
+  Alcotest.(check string) "computes after" "3"
+    (find_or_add t "k" (fun () -> "3"));
+  (* a failing decode of a stored value releases the table *)
+  (match
+     Engine.Memo.find_or_add t "k" ~decode:(fun _ _ _ -> failwith "decode")
+       (fun () -> "4")
+   with
+  | _ -> Alcotest.fail "expected failure"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "still one entry" 1 (Engine.Memo.length t)
 
 let test_flat_clear () =
-  let t = Engine.Flat_memo.create () in
-  let fill v = ignore (Engine.Flat_memo.find_or_add t "k" (fun () -> v)) in
-  fill [| 1. |];
-  Engine.Flat_memo.clear t;
-  Alcotest.(check int) "cleared" 0 (Engine.Flat_memo.length t);
-  Alcotest.check floats "recomputed after clear" [| 2. |]
-    (Engine.Flat_memo.find_or_add t "k" (fun () -> [| 2. |]));
+  let t = Engine.Memo.create () in
+  let fill v = ignore (find_or_add t "k" (fun () -> v)) in
+  fill "1";
+  Engine.Memo.clear t;
+  Alcotest.(check int) "cleared" 0 (Engine.Memo.length t);
+  Alcotest.(check string) "recomputed after clear" "2"
+    (find_or_add t "k" (fun () -> "2"));
   Engine.Memo.clear_all ();
-  Alcotest.(check int) "cleared by clear_all" 0 (Engine.Flat_memo.length t);
-  fill [| 3. |];
-  Alcotest.check floats "recomputed after clear_all" [| 3. |]
-    (Engine.Flat_memo.find_or_add t "k" (fun () -> [| 4. |]))
+  Alcotest.(check int) "cleared by clear_all" 0 (Engine.Memo.length t);
+  fill "3";
+  Alcotest.(check string) "recomputed after clear_all" "3"
+    (find_or_add t "k" (fun () -> "4"))
 
 (* Entry [i]: a key of [i mod 301] bytes (0 to 300, so not always a
-   multiple of 8) and a value of [i mod 37] floats. 3000 of them fill
-   several key and value chunks and grow the index four times; one
-   more key is larger than the largest regular chunk. *)
+   multiple of 8) and a value of [i mod 37] numbers. 3000 of them fill
+   several chunks and grow the index four times; one more key, and one
+   more value, is larger than the largest regular chunk. *)
 let chunk_key round i =
   Printf.sprintf "%d:%d:" round i
   ^ String.make (i mod 301) (Char.chr (i land 255))
 
 let chunk_value round i =
-  Array.init (i mod 37) (fun j ->
-      float_of_int ((round * 1_000_000) + (i * 100) + j))
+  String.concat ","
+    (List.init (i mod 37) (fun j ->
+         string_of_int ((round * 1_000_000) + (i * 100) + j)))
 
 let test_flat_chunk_growth () =
-  let t = Engine.Flat_memo.create () in
+  let t = Engine.Memo.create () in
   let n = 3000 in
   let huge = String.make (3 * 1024 * 1024) 'h' in
   let fail_compute () = Alcotest.fail "expected a hit" in
   List.iter
     (fun round ->
-      Engine.Flat_memo.clear t;
+      Engine.Memo.clear t;
       for i = 0 to n - 1 do
         ignore
-          (Engine.Flat_memo.find_or_add t (chunk_key round i) (fun () ->
-               chunk_value round i))
+          (find_or_add t (chunk_key round i) (fun () -> chunk_value round i))
       done;
-      ignore
-        (Engine.Flat_memo.find_or_add t huge (fun () ->
-             [| float_of_int round |]));
-      Alcotest.(check int) "length" (n + 1) (Engine.Flat_memo.length t);
+      ignore (find_or_add t huge (fun () -> string_of_int round));
+      Engine.Memo.put t "huge value" (huge ^ string_of_int round);
+      Alcotest.(check int) "length" (n + 2) (Engine.Memo.length t);
       for i = 0 to n - 1 do
-        Alcotest.check floats (chunk_key round i) (chunk_value round i)
-          (Engine.Flat_memo.find_or_add t (chunk_key round i) fail_compute)
+        Alcotest.(check string) (chunk_key round i) (chunk_value round i)
+          (find_or_add t (chunk_key round i) fail_compute)
       done;
-      Alcotest.check floats "huge key" [| float_of_int round |]
-        (Engine.Flat_memo.find_or_add t huge fail_compute))
+      Alcotest.(check string) "huge key" (string_of_int round)
+        (find_or_add t huge fail_compute);
+      Alcotest.(check bool) "huge value" true
+        (Engine.Memo.find_opt t "huge value"
+        = Some (huge ^ string_of_int round)))
     (* the second round refills the chunks the first one left *)
     [ 1; 2 ]
 
 let test_flat_bitwise_keys () =
-  let t = Engine.Flat_memo.create () in
+  let t = Engine.Memo.create () in
   let calls = ref 0 in
   let add x =
-    Engine.Flat_memo.find_or_add t (bits_key x) (fun () ->
+    Engine.Memo.find_or_add t (bits_key x)
+      ~decode:(fun b off _ -> Int64.float_of_bits (Bytes.get_int64_le b off))
+      (fun () ->
         incr calls;
-        [| x |])
+        bits_key x)
   in
   List.iter (fun x -> ignore (add x)) [ 0.1; Float.succ 0.1; 0.; -0. ];
   Alcotest.(check int) "four distinct entries" 4 !calls;
   Alcotest.(check bool) "-0. hits its own entry" true
-    (Float.sign_bit (add (-0.)).(0));
-  Alcotest.(check bool) "0. hits its own entry" false
-    (Float.sign_bit (add 0.).(0));
+    (Float.sign_bit (add (-0.)));
+  Alcotest.(check bool) "0. hits its own entry" false (Float.sign_bit (add 0.));
   Alcotest.(check int) "no recompute" 4 !calls
 
 (* Domain [a] misses, and while it computes, domain [b] misses, computes
    and stores the same key: [a] must then return [b]'s stored value. *)
 let test_flat_race_first_writer_wins () =
-  let t = Engine.Flat_memo.create () in
+  let t = Engine.Memo.create () in
   let a_computing = Atomic.make false and b_done = Atomic.make false in
   let wait flag =
     while not (Atomic.get flag) do
@@ -324,52 +300,61 @@ let test_flat_race_first_writer_wins () =
   in
   let a =
     Domain.spawn (fun () ->
-        Engine.Flat_memo.find_or_add t "race" (fun () ->
+        find_or_add t "race" (fun () ->
             Atomic.set a_computing true;
             wait b_done;
-            [| 1. |]))
+            "1"))
   in
   let b =
     Domain.spawn (fun () ->
         wait a_computing;
-        let v = Engine.Flat_memo.find_or_add t "race" (fun () -> [| 2. |]) in
+        let v = find_or_add t "race" (fun () -> "2") in
         Atomic.set b_done true;
         v)
   in
-  Alcotest.check floats "b stored first" [| 2. |] (Domain.join b);
-  Alcotest.check floats "a returns b's value" [| 2. |] (Domain.join a);
-  Alcotest.(check int) "one entry" 1 (Engine.Flat_memo.length t)
+  Alcotest.(check string) "b stored first" "2" (Domain.join b);
+  Alcotest.(check string) "a returns b's value" "2" (Domain.join a);
+  Alcotest.(check int) "one entry" 1 (Engine.Memo.length t)
 
-(* Model test: [find_or_add] against a [Hashtbl] that keeps the first
-   value added per key, over random keys (short ones over a 3-letter
-   alphabet, so they repeat) and values, with clears in between. *)
-type flat_op = Add of string * float array | Clear
+(* Model test: [find_or_add], [put] and [find_opt] against a [Hashtbl]
+   that keeps the first value added per key, over random keys (short
+   ones over a 3-letter alphabet, so they repeat) and byte values — the
+   empty string, NUL bytes, values larger than the first chunk — with
+   clears in between. *)
+type flat_op =
+  | Add of string * string
+  | Put of string * string
+  | Find of string
+  | Clear
+
+let flat_key_gen =
+  QCheck.Gen.(string_size ~gen:(char_range 'a' 'c') (int_bound 9))
+
+let flat_value_gen =
+  QCheck.Gen.(
+    frequency
+      [ (20, string_size ~gen:char (int_bound 40));
+        (3, return "");
+        (3, map (fun n -> String.make n '\000') (int_bound 12));
+        (1, string_size ~gen:char (int_range 16_385 40_000));
+      ])
 
 let flat_op_gen =
   QCheck.Gen.(
     frequency
-      [ ( 30,
-          map2
-            (fun k v -> Add (k, v))
-            (string_size ~gen:(char_range 'a' 'c') (int_bound 9))
-            (array_size (int_bound 6) float) );
+      [ (20, map2 (fun k v -> Add (k, v)) flat_key_gen flat_value_gen);
+        (5, map2 (fun k v -> Put (k, v)) flat_key_gen flat_value_gen);
+        (5, map (fun k -> Find k) flat_key_gen);
         (1, return Clear);
       ])
 
 let print_flat_op = function
-  | Add (k, v) ->
-    Printf.sprintf "Add (%S, [|%s|])" k
-      (String.concat "; " (Array.to_list (Array.map string_of_float v)))
+  | Add (k, v) -> Printf.sprintf "Add (%S, %d bytes)" k (String.length v)
+  | Put (k, v) -> Printf.sprintf "Put (%S, %d bytes)" k (String.length v)
+  | Find k -> Printf.sprintf "Find %S" k
   | Clear -> "Clear"
 
-let flat_model_table = lazy (Engine.Flat_memo.create ())
-
-let same_bits a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y ->
-         Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
+let flat_model_table = lazy (Engine.Memo.create ())
 
 let prop_flat_matches_hashtbl =
   QCheck.Test.make ~count:200 ~name:"flat memo matches a Hashtbl model"
@@ -379,25 +364,31 @@ let prop_flat_matches_hashtbl =
         Gen.(list_size (int_bound 600) flat_op_gen))
     (fun ops ->
       let t = Lazy.force flat_model_table in
-      Engine.Flat_memo.clear t;
+      Engine.Memo.clear t;
       let model = Hashtbl.create 64 in
+      let first k v =
+        match Hashtbl.find_opt model k with
+        | Some w -> w
+        | None ->
+          Hashtbl.add model k v;
+          v
+      in
       List.for_all
-        (function
+        (fun op ->
+          (match op with
           | Clear ->
-            Engine.Flat_memo.clear t;
+            Engine.Memo.clear t;
             Hashtbl.reset model;
             true
           | Add (k, v) ->
-            let want =
-              match Hashtbl.find_opt model k with
-              | Some w -> w
-              | None ->
-                Hashtbl.add model k v;
-                v
-            in
-            same_bits want
-              (Engine.Flat_memo.find_or_add t k (fun () -> Array.copy v))
-            && Engine.Flat_memo.length t = Hashtbl.length model)
+            let want = first k v in
+            String.equal want (find_or_add t k (fun () -> v))
+          | Put (k, v) ->
+            ignore (first k v : string);
+            Engine.Memo.put t k v;
+            true
+          | Find k -> Engine.Memo.find_opt t k = Hashtbl.find_opt model k)
+          && Engine.Memo.length t = Hashtbl.length model)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -439,7 +430,7 @@ let test_fig3_identical_across_domains () =
 let test_fig4_identical_across_domains () =
   let run domains =
     with_domains domains (fun () ->
-        Bidir.Rate_region.clear_cache ();
+        Engine.Memo.clear_all ();
         let f = Bidir.Figures.fig4 ~power_db:10. () in
         (Report.render_figure f, Report.figure_csv f))
   in
@@ -482,10 +473,7 @@ let suites =
           test_pool_concurrent_overlapping_maps;
       ] );
     ( "engine.memo",
-      [ Alcotest.test_case "computes once" `Quick test_memo_computes_once;
-        Alcotest.test_case "disabled recomputes" `Quick test_memo_disabled_recomputes;
-        Alcotest.test_case "exception stores nothing" `Quick test_memo_exception_stores_nothing;
-        Alcotest.test_case "bound key: repeat hits" `Quick test_bound_key_repeat_hits;
+      [ Alcotest.test_case "bound key: repeat hits" `Quick test_bound_key_repeat_hits;
         Alcotest.test_case "bound key: one ulp misses" `Quick test_bound_key_one_ulp;
         Alcotest.test_case "bound key: zero sign misses" `Quick test_bound_key_zero_sign;
       ] );

@@ -74,8 +74,6 @@ let lp_history =
     ("linprog.kernel_row_ops", 439_348);
     ("linprog.refactor_eliminations", 2_431);
     ("linprog.factored_solves", 7_446);
-    ("engine.cache_hits", 1_437);
-    ("engine.cache_misses", 2_892);
     ("memo.optimize.sum_rate.hits", 1_405);
     ("memo.optimize.sum_rate.misses", 2_764);
     ("memo.rate_region.weighted.hits", 32);

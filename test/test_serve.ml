@@ -210,6 +210,20 @@ let test_service_batch_matches_sequential () =
   let sequential = List.map Serve.Service.respond pool in
   Alcotest.(check (list string)) "batched = sequential" sequential batched
 
+(* The response cache is a memo table like every other: [clear_all]
+   empties it, and a repeat of the cold batch, answered from the table,
+   gives the same bytes. *)
+let test_service_cache_cleared () =
+  let pool = Serve.Scenarios.check_pool () in
+  ignore (Serve.Service.respond_batch pool : string list);
+  Engine.Memo.clear_all ();
+  Alcotest.(check int) "empty after clear_all" 0 (Serve.Service.cache_length ());
+  let cold = Serve.Service.respond_batch pool in
+  let h0 = hits () in
+  Alcotest.(check (list string)) "repeat = cold bytes" cold
+    (Serve.Service.respond_batch pool);
+  Alcotest.(check int) "repeat is all hits" (List.length pool) (hits () - h0)
+
 let test_service_envelope_shape () =
   let q = get_exn (Query.make ~kind:Query.Sumrate ()) in
   match Json.parse (Serve.Service.respond q) with
@@ -387,6 +401,8 @@ let suites =
           test_service_cache_and_batches;
         Alcotest.test_case "batched equals sequential" `Quick
           test_service_batch_matches_sequential;
+        Alcotest.test_case "clear_all empties the cache" `Quick
+          test_service_cache_cleared;
         Alcotest.test_case "envelope shape" `Quick test_service_envelope_shape;
         Alcotest.test_case "scenario pick deterministic" `Quick
           test_scenarios_pick_deterministic;

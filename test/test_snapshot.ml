@@ -214,7 +214,8 @@ let test_pool_idle_budget_histogram () =
 (* Names no longer registered that older baselines still carry: the
    counters of the retired live event ring and leveled logger, of the
    retired rate-region boundary, polygon and feasibility memo tables,
-   and the heartbeat timer. *)
+   of the HBC-advantage memo table, the engine-wide memo totals, and
+   the heartbeat timer. *)
 let retired_counters =
   [ "engine.lp_solves"; "telemetry.stream.dropped_events";
     "telemetry.log.debug"; "telemetry.log.info"; "telemetry.log.warn";
@@ -222,7 +223,9 @@ let retired_counters =
     "memo.rate_region.boundary.hits"; "memo.rate_region.boundary.misses";
     "memo.rate_region.polygon.hits"; "memo.rate_region.polygon.misses";
     "memo.rate_region.feasibility.hits";
-    "memo.rate_region.feasibility.misses" ]
+    "memo.rate_region.feasibility.misses";
+    "memo.optimize.hbc_advantage.hits"; "memo.optimize.hbc_advantage.misses";
+    "engine.cache_hits"; "engine.cache_misses" ]
 
 let test_retired_lp_solves_ignored () =
   let retired_hist = "telemetry.stream.flush_seconds" in

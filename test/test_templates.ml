@@ -193,7 +193,7 @@ let prop_template_history_independent =
           (List.map (fun (p, kind) -> Bidir.Rate_region.sum_rate_template p kind)
              systems)
       in
-      Bidir.Rate_region.clear_cache ();
+      Engine.Memo.clear_all ();
       List.iter
         (fun (h, k) ->
           ignore
@@ -204,7 +204,7 @@ let prop_template_history_independent =
       let after = Array.map (fun t -> Bidir.Rate_region.solve_template t m) templates in
       List.for_all2
         (fun ((p, kind) as sys) (t, v) ->
-          Bidir.Rate_region.clear_cache ();
+          Engine.Memo.clear_all ();
           let fresh = Bidir.Rate_region.solve_template t m in
           let sum x = x.(0) +. x.(1) in
           let g = s.Bidir.Gaussian.gains in
