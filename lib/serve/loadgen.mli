@@ -44,6 +44,11 @@ type result = {
           after the run; empty if the fetch failed *)
 }
 
+val request_string : host:string -> int -> Query.t -> string
+(** The bytes of request [i] for a query: even [i] as [GET /v1/<kind>]
+    with URL parameters, odd [i] as [POST /v1/query] with the JSON echo
+    of the query as its body. *)
+
 val run : config -> result
 
 val result_to_json : config -> result -> Telemetry.Json.t

@@ -24,8 +24,7 @@ type t = {
 
 let db_ok x = Float.is_finite x && x >= -60. && x <= 60.
 
-let make ~kind ?(power_db = 10.) ?(gains_db = (0., 5., 7.))
-    ?(bound = Bidir.Bound.Inner) ?protocol ?(weights = 33) () =
+let validate ~kind ~power_db ~gains_db ~bound ~protocol ~weights =
   let g_ab, g_ar, g_br = gains_db in
   if not (db_ok power_db) then Error "power_db out of range [-60, 60] dB"
   else if not (db_ok g_ab && db_ok g_ar && db_ok g_br) then
@@ -35,6 +34,10 @@ let make ~kind ?(power_db = 10.) ?(gains_db = (0., 5., 7.))
   else if kind = Region && protocol = None then
     Error "region query requires a protocol"
   else Ok { kind; power_db; gains_db; bound; protocol; weights }
+
+let make ~kind ?(power_db = 10.) ?(gains_db = (0., 5., 7.))
+    ?(bound = Bidir.Bound.Inner) ?protocol ?(weights = 33) () =
+  validate ~kind ~power_db ~gains_db ~bound ~protocol ~weights
 
 let bound_name = function Bidir.Bound.Inner -> "inner" | Bidir.Bound.Outer -> "outer"
 
@@ -49,6 +52,32 @@ let key q =
     (bound_name q.bound)
     (match q.protocol with Some p -> Bidir.Protocol.name p | None -> "-")
     q.weights q.power_db g_ab g_ar g_br
+
+(* The fields of [key] as five 8-byte words: the tags and weights in
+   one, then the IEEE bits of each float. Finite doubles print the same
+   %.17g text exactly when their bits are equal (0. and -0. differ in
+   both), so the two keys split queries alike. *)
+let cache_key q =
+  let g_ab, g_ar, g_br = q.gains_db in
+  let kind = match q.kind with Sumrate -> 0 | Select -> 1 | Region -> 2 in
+  let bound = match q.bound with Bidir.Bound.Inner -> 0 | Bidir.Bound.Outer -> 1 in
+  let protocol =
+    match q.protocol with
+    | None -> 0
+    | Some Bidir.Protocol.Dt -> 1
+    | Some Bidir.Protocol.Naive -> 2
+    | Some Bidir.Protocol.Mabc -> 3
+    | Some Bidir.Protocol.Tdbc -> 4
+    | Some Bidir.Protocol.Hbc -> 5
+  in
+  let k = Bytes.create 40 in
+  Bytes.set_int64_le k 0
+    (Int64.of_int (kind lor (bound lsl 2) lor (protocol lsl 3) lor (q.weights lsl 6)));
+  Bytes.set_int64_le k 8 (Int64.bits_of_float q.power_db);
+  Bytes.set_int64_le k 16 (Int64.bits_of_float g_ab);
+  Bytes.set_int64_le k 24 (Int64.bits_of_float g_ar);
+  Bytes.set_int64_le k 32 (Int64.bits_of_float g_br);
+  Bytes.unsafe_to_string k
 
 (* ------------------------------------------------------------------ *)
 (* JSON / parameter parsing                                            *)
@@ -70,92 +99,142 @@ let to_json q =
       ("weights", Json.Int q.weights);
     ]
 
-(* Both front doors (URL parameters and JSON bodies) funnel through the
-   same field-by-field builder so they accept exactly the same
-   queries. [get] returns the raw string for a field, or None. *)
-let build ~kind ~(get : string -> (string, string) result option) =
-  let ( let* ) = Result.bind in
-  let float_field name dflt =
-    match get name with
-    | None -> Ok dflt
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match float_of_string_opt s with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "%s: not a number: %s" name s))
-  in
-  let int_field name dflt =
-    match get name with
-    | None -> Ok dflt
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match int_of_string_opt s with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "%s: not an integer: %s" name s))
-  in
-  let* kind =
-    match kind_of_string kind with
-    | Some k -> Ok k
-    | None -> Error (Printf.sprintf "unknown query kind: %s" kind)
-  in
-  let* power_db = float_field "power_db" 10. in
-  let* g_ab = float_field "g_ab" 0. in
-  let* g_ar = float_field "g_ar" 5. in
-  let* g_br = float_field "g_br" 7. in
-  let* bound =
-    match get "bound" with
-    | None -> Ok Bidir.Bound.Inner
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match bound_of_string s with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "bound: expected inner|outer, got %s" s))
-  in
-  let* protocol =
-    match get "protocol" with
-    | None -> Ok None
-    | Some (Error e) -> Error e
-    | Some (Ok s) -> (
-      match Bidir.Protocol.of_string s with
-      | Some p -> Ok (Some p)
-      | None -> Error (Printf.sprintf "unknown protocol: %s" s))
-  in
-  let* weights = int_field "weights" 33 in
-  make ~kind ~power_db ~gains_db:(g_ab, g_ar, g_br) ~bound ?protocol ~weights
-    ()
+(* Both front doors (URL parameters and JSON bodies) read their fields
+   in one pass into these slots, typed as the JSON value they arrived
+   as (a URL parameter is a [String]; [Null] is an absent field), and
+   [build] converts them in a fixed order. The first occurrence of a
+   field counts. A JSON number is converted directly; only an error
+   message prints a value, in the form a text round trip through
+   "%.17g" would have shown it. *)
+type slots = {
+  mutable seen : int;  (* bit [i] set: slot [i] was filled *)
+  values : Json.t array;
+}
 
-let known_fields =
-  [ "kind"; "power_db"; "g_ab"; "g_ar"; "g_br"; "bound"; "protocol"; "weights" ]
+exception Reject of string
+
+let field_index = function
+  | "kind" -> 0
+  | "power_db" -> 1
+  | "g_ab" -> 2
+  | "g_ar" -> 3
+  | "g_br" -> 4
+  | "bound" -> 5
+  | "protocol" -> 6
+  | "weights" -> 7
+  | _ -> -1
+
+let field_name = function
+  | 0 -> "kind"
+  | 1 -> "power_db"
+  | 2 -> "g_ab"
+  | 3 -> "g_ar"
+  | 4 -> "g_br"
+  | 5 -> "bound"
+  | 6 -> "protocol"
+  | _ -> "weights"
+
+let slots () = { seen = 0; values = Array.make 8 Json.Null }
+
+(* [false] for an unknown name *)
+let fill sl name v =
+  let i = field_index name in
+  i >= 0
+  && begin
+    if sl.seen land (1 lsl i) = 0 then begin
+      sl.seen <- sl.seen lor (1 lsl i);
+      sl.values.(i) <- v
+    end;
+    true
+  end
+
+let text_of name = function
+  | Json.String s -> s
+  | Json.Int i -> string_of_int i
+  | Json.Float f -> Printf.sprintf "%.17g" f
+  | _ -> raise (Reject (name ^ ": unsupported type"))
+
+let float_slot sl i dflt =
+  match sl.values.(i) with
+  | Json.Null -> dflt
+  | Json.Float f -> f
+  | Json.Int n -> float_of_int n
+  | Json.String s -> (
+    match Json.float_of_string_opt s with
+    | Some f -> f
+    | None ->
+      raise (Reject (Printf.sprintf "%s: not a number: %s" (field_name i) s)))
+  | _ -> raise (Reject (field_name i ^ ": unsupported type"))
+
+let int_slot sl i dflt =
+  match sl.values.(i) with
+  | Json.Null -> dflt
+  | Json.Int n -> n
+  | Json.Float f when Float.is_integer f && Float.abs f < 1e15 ->
+    int_of_float f
+  | v -> (
+    let s = text_of (field_name i) v in
+    match int_of_string_opt s with
+    | Some n -> n
+    | None ->
+      raise (Reject (Printf.sprintf "%s: not an integer: %s" (field_name i) s)))
+
+(* [None] for an absent field, else the field's text read by [conv],
+   rejected with [msg text] when [conv] has no answer *)
+let text_slot sl i conv msg =
+  match sl.values.(i) with
+  | Json.Null -> None
+  | v -> (
+    let s = text_of (field_name i) v in
+    match conv s with Some x -> Some x | None -> raise (Reject (msg s)))
+
+let unknown_kind s = Printf.sprintf "unknown query kind: %s" s
+let bad_bound s = Printf.sprintf "bound: expected inner|outer, got %s" s
+let unknown_protocol s = Printf.sprintf "unknown protocol: %s" s
+
+let build sl =
+  let kind =
+    match text_slot sl 0 kind_of_string unknown_kind with
+    | Some k -> k
+    | None -> raise (Reject "missing field: kind")
+  in
+  let power_db = float_slot sl 1 10. in
+  let g_ab = float_slot sl 2 0. in
+  let g_ar = float_slot sl 3 5. in
+  let g_br = float_slot sl 4 7. in
+  let bound =
+    Option.value ~default:Bidir.Bound.Inner
+      (text_slot sl 5 bound_of_string bad_bound)
+  in
+  let protocol = text_slot sl 6 Bidir.Protocol.of_string unknown_protocol in
+  let weights = int_slot sl 7 33 in
+  validate ~kind ~power_db ~gains_db:(g_ab, g_ar, g_br) ~bound ~protocol
+    ~weights
+
+let rec fill_params sl = function
+  | [] -> None
+  | (k, v) :: rest ->
+    if fill sl k (Json.String v) then fill_params sl rest else Some k
 
 let of_params ~kind params =
-  match
-    List.find_opt (fun (k, _) -> not (List.mem k known_fields)) params
-  with
-  | Some (k, _) -> Error (Printf.sprintf "unknown parameter: %s" k)
-  | None ->
-    build ~kind ~get:(fun name ->
-        Option.map (fun v -> Ok v) (List.assoc_opt name params))
+  let sl = slots () in
+  match fill_params sl params with
+  | Some k -> Error (Printf.sprintf "unknown parameter: %s" k)
+  | None -> (
+    sl.values.(0) <- Json.String kind;
+    match build sl with q -> q | exception Reject e -> Error e)
+
+let rec fill_fields sl = function
+  | [] -> None
+  | (k, v) :: rest -> if fill sl k v then fill_fields sl rest else Some k
 
 let of_json j =
   match j with
   | Json.Obj fields -> (
-    match
-      List.find_opt (fun (k, _) -> not (List.mem k known_fields)) fields
-    with
-    | Some (k, _) -> Error (Printf.sprintf "unknown field: %s" k)
-    | None -> (
-      let get name =
-        match List.assoc_opt name fields with
-        | None | Some Json.Null -> None
-        | Some (Json.String s) -> Some (Ok s)
-        | Some (Json.Int i) -> Some (Ok (string_of_int i))
-        | Some (Json.Float f) -> Some (Ok (Printf.sprintf "%.17g" f))
-        | Some _ -> Some (Error (Printf.sprintf "%s: unsupported type" name))
-      in
-      match get "kind" with
-      | Some (Ok kind) -> build ~kind ~get
-      | Some (Error e) -> Error e
-      | None -> Error "missing field: kind"))
+    let sl = slots () in
+    match fill_fields sl fields with
+    | Some k -> Error (Printf.sprintf "unknown field: %s" k)
+    | None -> (match build sl with q -> q | exception Reject e -> Error e))
   | _ -> Error "query body must be a JSON object"
 
 (* ------------------------------------------------------------------ *)

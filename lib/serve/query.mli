@@ -47,8 +47,16 @@ val make :
     [3, 513]) and a [Region] query without a protocol. *)
 
 val key : t -> string
-(** Canonical cache key: kind, bound, protocol, weights and the
-    %.17g-rendered parameters — injective on distinct queries. *)
+(** Canonical text key: kind, bound, protocol, weights and the
+    %.17g-rendered parameters — injective on distinct queries. What
+    [bidir loadgen --dump] writes; the response cache uses
+    {!cache_key}. *)
+
+val cache_key : t -> string
+(** The response cache's key: 40 bytes holding the kind, bound and
+    protocol tags, [weights], and the IEEE bits of [power_db] and the
+    three gains. Two queries have equal [cache_key]s exactly when their
+    {!key}s are equal, and building one prints no float. *)
 
 val to_json : t -> Telemetry.Json.t
 (** Canonical echo of the query (used in the response envelope). *)
@@ -56,10 +64,13 @@ val to_json : t -> Telemetry.Json.t
 val of_params : kind:string -> (string * string) list -> (t, string) result
 (** Build from URL query parameters ([power_db], [g_ab], [g_ar],
     [g_br], [bound], [protocol], [weights]); unknown keys are
-    rejected. *)
+    rejected. The first occurrence of a parameter counts. *)
 
 val of_json : Telemetry.Json.t -> (t, string) result
-(** Build from a POST body object; same fields plus ["kind"]. *)
+(** Build from a POST body object; same fields plus ["kind"]. A JSON
+    number is taken as the number it is (an integral float is a valid
+    [weights]); a string is read as {!of_params} reads it; [null] is an
+    absent field. *)
 
 val eval : t -> Telemetry.Json.t
 (** Answer the query (the ["result"] object of the response

@@ -156,7 +156,7 @@ let run cfg =
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error _ -> close_conn c);
     let progress = ref c.alive in
-    while !progress do
+    while !progress && Buffer.length c.buf > 0 do
       progress := false;
       let data = Buffer.contents c.buf in
       match Http.parse data with
@@ -204,27 +204,27 @@ let run cfg =
         (fun c -> if List.mem c.fd ready then drain_conn c else [])
         (List.rev !conns)
     in
-    (* answer the unique query misses of this round in pool batches *)
+    (* answer the round's queries in pool batches; the answers come
+       back in item order *)
     let queries =
-      List.mapi (fun i it -> (i, it)) items
-      |> List.filter_map (fun (i, it) ->
-             match it.it_payload with Query q -> Some (i, q) | _ -> None)
+      List.filter_map
+        (fun it -> match it.it_payload with Query q -> Some q | _ -> None)
+        items
     in
-    let answers = Hashtbl.create 16 in
+    let answers =
+      ref (List.concat_map Service.respond_batch (chunks cfg.batch_max queries))
+    in
     List.iter
-      (fun chunk ->
-        let bodies = Service.respond_batch (List.map snd chunk) in
-        List.iter2
-          (fun (i, _) body -> Hashtbl.replace answers i body)
-          chunk bodies)
-      (chunks cfg.batch_max queries);
-    List.iteri
-      (fun i it ->
+      (fun it ->
         let status, body =
           match it.it_payload with
-          | Query _ ->
+          | Query _ -> (
             incr served;
-            (200, Hashtbl.find answers i)
+            match !answers with
+            | body :: rest ->
+              answers := rest;
+              (200, body)
+            | [] -> assert false)
           | Immediate (status, body) -> (status, body)
           | Shutdown_req ->
             stop := true;

@@ -8,7 +8,7 @@ let batch_size_h =
   Telemetry.Metrics.histogram ~lo:1. ~growth:1.02 ~buckets:256
     "serve.batch_size"
 
-(* Response cache: canonical query key -> rendered body. Unnamed, so
+(* Response cache: [Query.cache_key] -> rendered body. Unnamed, so
    its lookups are counted once, by the serve.* counters above; a
    memo table like every other, so [Engine.Memo.clear_all] empties
    it. *)
@@ -30,62 +30,60 @@ let eval_body q =
   | exception e ->
     envelope q ("error", Json.String (Printexc.to_string e))
 
+let probe q = Engine.Memo.find_opt cache (Query.cache_key q)
+
+(* The batch with at least one miss: its unique misses in first-seen
+   order (duplicates within the batch ride the first occurrence's
+   evaluation) go out in one pool fan-out and are stored back. *)
+let answer_misses qs probed =
+  let seen = Hashtbl.create 16 in
+  let misses =
+    List.fold_left2
+      (fun acc q r ->
+        match r with
+        | Some _ -> acc
+        | None ->
+          let k = Query.cache_key q in
+          if Hashtbl.mem seen k then acc
+          else begin
+            Hashtbl.add seen k ();
+            (k, q) :: acc
+          end)
+      [] qs probed
+  in
+  let miss_arr = Array.of_list (List.rev misses) in
+  let n = List.length qs and m = Array.length miss_arr in
+  Telemetry.Metrics.add cache_hits_c (n - m);
+  Telemetry.Metrics.add cache_misses_c m;
+  let bodies = Engine.Pool.map_array (fun (_, q) -> eval_body q) miss_arr in
+  (* [fresh] also serves duplicates when the memo switch is off and
+     [put] is a no-op *)
+  let fresh = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (k, _) ->
+      Engine.Memo.put cache k bodies.(i);
+      Hashtbl.replace fresh k bodies.(i))
+    miss_arr;
+  List.map2
+    (fun q r ->
+      match r with
+      | Some body -> body
+      | None -> Hashtbl.find fresh (Query.cache_key q))
+    qs probed
+
 let respond_batch qs =
-  let n = List.length qs in
-  if n = 0 then []
-  else begin
+  match qs with
+  | [] -> []
+  | _ ->
+    let n = List.length qs in
     Telemetry.Metrics.add requests_c n;
     Telemetry.Metrics.observe_int batch_size_h n;
     (* admission: one cache probe per query *)
-    let probed =
-      List.map
-        (fun q ->
-          let k = Query.key q in
-          (k, q, Engine.Memo.find_opt cache k))
-        qs
-    in
-    let hits =
-      List.length (List.filter (fun (_, _, r) -> r <> None) probed)
-    in
-    Telemetry.Metrics.add cache_hits_c hits;
-    (* unique misses in first-seen order; duplicates within the batch
-       ride the first occurrence's evaluation *)
-    let seen = Hashtbl.create 16 in
-    let misses =
-      List.filter_map
-        (fun (k, q, r) ->
-          match r with
-          | Some _ -> None
-          | None ->
-            if Hashtbl.mem seen k then None
-            else begin
-              Hashtbl.add seen k ();
-              Some (k, q)
-            end)
-        probed
-    in
-    Telemetry.Metrics.add cache_misses_c (List.length misses);
-    let miss_arr = Array.of_list misses in
-    let bodies = Engine.Pool.map_array (fun (_, q) -> eval_body q) miss_arr in
-    (* [fresh] also serves duplicates when the memo switch is off and
-       [put] is a no-op *)
-    let fresh = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (k, _) ->
-        Engine.Memo.put cache k bodies.(i);
-        Hashtbl.replace fresh k bodies.(i))
-      miss_arr;
-    List.map
-      (fun (k, q, r) ->
-        match r with
-        | Some body -> body
-        | None -> (
-          match Hashtbl.find_opt fresh k with
-          | Some body -> body
-          | None ->
-            (* unreachable: every miss key was evaluated above *)
-            eval_body q))
-      probed
-  end
+    let probed = List.map probe qs in
+    if List.for_all Option.is_some probed then begin
+      Telemetry.Metrics.add cache_hits_c n;
+      List.map Option.get probed
+    end
+    else answer_misses qs probed
 
 let respond q = List.hd (respond_batch [ q ])

@@ -1,6 +1,7 @@
 (** The admission path between the HTTP front end and the evaluation
     stack: every query goes through a process-wide response cache (an
-    {!Engine.Memo} table of rendered bodies); the misses of a batch are deduplicated and fanned across
+    {!Engine.Memo} table of rendered bodies, keyed by
+    {!Query.cache_key}); the misses of a batch are deduplicated and fanned across
     {!Engine.Pool} in one [map_array]; the computed bodies are stored
     back so repeated queries are answered without touching a solver.
 
@@ -8,9 +9,11 @@
     [--metrics] dumps, [--live] heartbeats and [bidir check]
     snapshots):
     - [serve.requests] — queries admitted (batch members included)
-    - [serve.cache_hits] / [serve.cache_misses] — admission-probe
-      outcomes; misses count unique evaluated queries, so duplicates
-      inside one batch count neither as hits nor misses
+    - [serve.cache_hits] / [serve.cache_misses] — one per admitted
+      query: misses count the unique queries evaluated, hits every
+      query answered without an evaluation of its own (a stored body,
+      or an earlier copy in the same batch), so hits + misses =
+      requests
     - [serve.batch_size] — histogram of admitted batch sizes
 
     The cache participates in {!Engine.Memo.clear_all}, so "cold

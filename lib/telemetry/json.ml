@@ -85,216 +85,296 @@ let to_string_pretty v = render ~indent:(Some 2) v ^ "\n"
 
 exception Fail of string * int
 
-let parse input =
-  let n = String.length input in
-  let pos = ref 0 in
-  let fail msg = raise (Fail (msg, !pos)) in
-  let peek () = if !pos < n then Some input.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match input.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub input !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let add_utf8 buf code =
-    if code < 0x80 then Buffer.add_char buf (Char.chr code)
-    else if code < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-    end
-    else if code < 0x10000 then begin
-      Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+(* The parser state. Every parsing function is a top-level function of
+   the reader, so a parse allocates no closures, and a look at the next
+   byte allocates no option. *)
+type reader = { s : string; n : int; mutable pos : int }
+
+let fail r msg = raise (Fail (msg, r.pos))
+
+let[@inline] next_is r c =
+  r.pos < r.n && Char.equal (String.unsafe_get r.s r.pos) c
+
+let[@inline] skip_ws r =
+  while
+    r.pos < r.n
+    &&
+    match String.unsafe_get r.s r.pos with
+    | ' ' | '\t' | '\n' | '\r' -> true
+    | _ -> false
+  do
+    r.pos <- r.pos + 1
+  done
+
+let[@inline] expect r c =
+  if next_is r c then r.pos <- r.pos + 1
+  else fail r (Printf.sprintf "expected %C" c)
+
+let rec word_at s pos word i =
+  i >= String.length word
+  || Char.equal (String.unsafe_get s (pos + i)) (String.unsafe_get word i)
+     && word_at s pos word (i + 1)
+
+let literal r word value =
+  let l = String.length word in
+  if r.pos + l <= r.n && word_at r.s r.pos word 0 then begin
+    r.pos <- r.pos + l;
+    value
+  end
+  else fail r ("expected " ^ word)
+
+let add_utf8 buf code =
+  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else if code < 0x10000 then begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+(* exactly four hex digits ([int_of_string "0x…"] would also accept
+   underscores and sign characters) *)
+let read_hex4 r =
+  if r.pos + 4 > r.n then fail r "truncated \\u escape";
+  let v = ref 0 in
+  for _ = 1 to 4 do
+    let d =
+      match String.unsafe_get r.s r.pos with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail r "bad \\u escape"
+    in
+    v := (!v lsl 4) lor d;
+    r.pos <- r.pos + 1
+  done;
+  !v
+
+let read_escape r buf =
+  if r.pos >= r.n then fail r "unterminated escape";
+  let e = String.unsafe_get r.s r.pos in
+  r.pos <- r.pos + 1;
+  match e with
+  | '"' -> Buffer.add_char buf '"'
+  | '\\' -> Buffer.add_char buf '\\'
+  | '/' -> Buffer.add_char buf '/'
+  | 'b' -> Buffer.add_char buf '\b'
+  | 'f' -> Buffer.add_char buf '\012'
+  | 'n' -> Buffer.add_char buf '\n'
+  | 'r' -> Buffer.add_char buf '\r'
+  | 't' -> Buffer.add_char buf '\t'
+  | 'u' ->
+    let code = read_hex4 r in
+    let code =
+      (* a high surrogate followed by [\uDC00-\uDFFF] combines into one
+         supplementary code point (so "😀" is U+1F600); a lone
+         surrogate stays as-is (WTF-8), matching the parser's otherwise
+         lenient handling of raw bytes *)
+      if
+        code >= 0xD800 && code <= 0xDBFF
+        && r.pos + 1 < r.n
+        && r.s.[r.pos] = '\\'
+        && r.s.[r.pos + 1] = 'u'
+      then begin
+        let saved = r.pos in
+        r.pos <- r.pos + 2;
+        let low = read_hex4 r in
+        if low >= 0xDC00 && low <= 0xDFFF then
+          0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+        else begin
+          r.pos <- saved;
+          code
+        end
+      end
+      else code
+    in
+    add_utf8 buf code
+  | _ -> fail r "unknown escape"
+
+(* the rest of a string with escapes, from [r.pos] *)
+let rec string_tail r buf =
+  if r.pos >= r.n then fail r "unterminated string";
+  let c = String.unsafe_get r.s r.pos in
+  r.pos <- r.pos + 1;
+  if c = '"' then Buffer.contents buf
+  else begin
+    if c = '\\' then read_escape r buf else Buffer.add_char buf c;
+    string_tail r buf
+  end
+
+(* index of the first quote or backslash at or after [i], or [n] *)
+let rec plain_end s n i =
+  if i >= n then n
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> plain_end s n (i + 1)
+
+(* A string without escapes, the common case, is one [String.sub]. *)
+let parse_string r =
+  expect r '"';
+  let start = r.pos in
+  let stop = plain_end r.s r.n start in
+  if stop < r.n && String.unsafe_get r.s stop = '"' then begin
+    r.pos <- stop + 1;
+    String.sub r.s start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf r.s start (stop - start);
+    r.pos <- stop;
+    string_tail r buf
+  end
+
+let rec number_end s n i =
+  if i >= n then i
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> number_end s n (i + 1)
+    | _ -> i
+
+let rec has_frac s i stop =
+  i < stop
+  && (match String.unsafe_get s i with
+     | '.' | 'e' | 'E' -> true
+     | _ -> has_frac s (i + 1) stop)
+
+let pow10 =
+  [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
+     1e13; 1e14; 1e15 |]
+
+(* The value of [s.[a, b)] when it is a plain decimal, [-]d+[.d*] with
+   at most 15 digits, else nan. Such a mantissa and its power of ten
+   are exact doubles, so one division rounds correctly, as strtod
+   does. *)
+let plain_decimal s a b =
+  let neg = a < b && String.unsafe_get s a = '-' in
+  let first = if neg then a + 1 else a in
+  let m = ref 0 and digits = ref 0 and frac = ref (-1) and i = ref first in
+  while
+    !i < b
+    &&
+    match String.unsafe_get s !i with
+    | '0' .. '9' as c ->
+      m := (10 * !m) + (Char.code c - Char.code '0');
+      incr digits;
+      if !frac >= 0 then incr frac;
+      true
+    | '.' -> !frac < 0 && !i > first && (frac := 0; true)
+    | _ -> false
+  do
+    incr i
+  done;
+  if !i < b || !digits = 0 || !digits > 15 then Float.nan
+  else
+    let v = float_of_int !m /. Array.unsafe_get pow10 (max 0 !frac) in
+    if neg then -.v else v
+
+let float_of_string_opt s =
+  let v = plain_decimal s 0 (String.length s) in
+  if Float.is_nan v then Stdlib.float_of_string_opt s else Some v
+
+let float_token r s =
+  match Stdlib.float_of_string_opt s with
+  | Some f -> Float f
+  | None -> fail r "bad number"
+
+let parse_number r =
+  (* a JSON number starts with '-' or a digit; '+', '.', 'e' may only
+     appear later (OCaml's [of_string] would accept "+1" and ".5") *)
+  (match String.unsafe_get r.s r.pos with
+  | '-' | '0' .. '9' -> ()
+  | _ -> fail r "expected a value");
+  let start = r.pos in
+  let stop = number_end r.s r.n start in
+  r.pos <- stop;
+  if has_frac r.s start stop then
+    let v = plain_decimal r.s start stop in
+    if Float.is_nan v then float_token r (String.sub r.s start (stop - start))
+    else Float v
+  else
+    let s = String.sub r.s start (stop - start) in
+    match int_of_string_opt s with Some i -> Int i | None -> float_token r s
+
+let rec parse_value r =
+  skip_ws r;
+  if r.pos >= r.n then fail r "unexpected end of input";
+  match String.unsafe_get r.s r.pos with
+  | 'n' -> literal r "null" Null
+  | 't' -> literal r "true" (Bool true)
+  | 'f' -> literal r "false" (Bool false)
+  | '"' -> String (parse_string r)
+  | '[' ->
+    r.pos <- r.pos + 1;
+    skip_ws r;
+    if next_is r ']' then begin
+      r.pos <- r.pos + 1;
+      List []
     end
     else begin
-      Buffer.add_char buf (Char.chr (0xF0 lor (code lsr 18)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 12) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-      Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+      let first = parse_value r in
+      List (first :: items r)
     end
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      let c = input.[!pos] in
-      advance ();
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        (if !pos >= n then fail "unterminated escape";
-         let e = input.[!pos] in
-         advance ();
-         match e with
-         | '"' -> Buffer.add_char buf '"'
-         | '\\' -> Buffer.add_char buf '\\'
-         | '/' -> Buffer.add_char buf '/'
-         | 'b' -> Buffer.add_char buf '\b'
-         | 'f' -> Buffer.add_char buf '\012'
-         | 'n' -> Buffer.add_char buf '\n'
-         | 'r' -> Buffer.add_char buf '\r'
-         | 't' -> Buffer.add_char buf '\t'
-         | 'u' ->
-           (* exactly four hex digits ([int_of_string "0x…"] would also
-              accept underscores and sign characters) *)
-           let read_hex4 () =
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let v = ref 0 in
-             for _ = 1 to 4 do
-               let d =
-                 match input.[!pos] with
-                 | '0' .. '9' as c -> Char.code c - Char.code '0'
-                 | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
-                 | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
-                 | _ -> fail "bad \\u escape"
-               in
-               v := (!v lsl 4) lor d;
-               advance ()
-             done;
-             !v
-           in
-           let code = read_hex4 () in
-           let code =
-             (* a high surrogate followed by [\uDC00-\uDFFF] combines
-                into one supplementary code point (so "😀" is
-                U+1F600); a lone surrogate stays as-is (WTF-8), matching
-                the parser's otherwise lenient handling of raw bytes *)
-             if
-               code >= 0xD800 && code <= 0xDBFF
-               && !pos + 1 < n
-               && input.[!pos] = '\\'
-               && input.[!pos + 1] = 'u'
-             then begin
-               let saved = !pos in
-               pos := !pos + 2;
-               let low = read_hex4 () in
-               if low >= 0xDC00 && low <= 0xDFFF then
-                 0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
-               else begin
-                 pos := saved;
-                 code
-               end
-             end
-             else code
-           in
-           add_utf8 buf code
-         | _ -> fail "unknown escape");
-        loop ()
-      end
-      else begin
-        Buffer.add_char buf c;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let parse_number () =
-    let start = !pos in
-    (* a JSON number starts with '-' or a digit; '+', '.', 'e' may only
-       appear later (OCaml's [of_string] would accept "+1" and ".5") *)
-    (match peek () with
-    | Some ('-' | '0' .. '9') -> ()
-    | _ -> fail "expected a value");
-    let numchar c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && numchar input.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail "expected a value";
-    let s = String.sub input start (!pos - start) in
-    let is_float =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s
-    in
-    if is_float then
-      match float_of_string_opt s with
-      | Some f -> Float f
-      | None -> fail "bad number"
-    else
-      match int_of_string_opt s with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> fail "bad number")
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let items = ref [ parse_value () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          items := parse_value () :: !items;
-          skip_ws ()
-        done;
-        expect ']';
-        List (List.rev !items)
-      end
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let field () =
-          skip_ws ();
-          let k = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          (k, v)
-        in
-        let fields = ref [ field () ] in
-        skip_ws ();
-        while peek () = Some ',' do
-          advance ();
-          fields := field () :: !fields;
-          skip_ws ()
-        done;
-        expect '}';
-        Obj (List.rev !fields)
-      end
-    | Some _ -> parse_number ()
-  in
+  | '{' ->
+    r.pos <- r.pos + 1;
+    skip_ws r;
+    if next_is r '}' then begin
+      r.pos <- r.pos + 1;
+      Obj []
+    end
+    else begin
+      let first = field r in
+      Obj (first :: fields r)
+    end
+  | _ -> parse_number r
+
+and[@tail_mod_cons] items r =
+  skip_ws r;
+  if next_is r ',' then begin
+    r.pos <- r.pos + 1;
+    let v = parse_value r in
+    v :: items r
+  end
+  else begin
+    expect r ']';
+    []
+  end
+
+and field r =
+  skip_ws r;
+  let k = parse_string r in
+  skip_ws r;
+  expect r ':';
+  let v = parse_value r in
+  (k, v)
+
+and[@tail_mod_cons] fields r =
+  skip_ws r;
+  if next_is r ',' then begin
+    r.pos <- r.pos + 1;
+    let kv = field r in
+    kv :: fields r
+  end
+  else begin
+    expect r '}';
+    []
+  end
+
+let parse input =
+  let r = { s = input; n = String.length input; pos = 0 } in
   match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing input";
+    let v = parse_value r in
+    skip_ws r;
+    if r.pos <> r.n then fail r "trailing input";
     v
   with
   | v -> Ok v

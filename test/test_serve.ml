@@ -119,6 +119,149 @@ let test_http_response_roundtrip () =
        (String.length body)
     = body)
 
+(* Properties of the framing. [drain] parses a byte stream the way
+   the daemon's [drain_conn] does: append each chunk as it arrives,
+   then take every complete request off the front of the buffer. *)
+let drain chunks =
+  let buf = Buffer.create 256 in
+  let out = ref [] in
+  List.iter
+    (fun chunk ->
+      Buffer.add_string buf chunk;
+      let rec take () =
+        let data = Buffer.contents buf in
+        match Http.parse data with
+        | Http.Complete (r, consumed) ->
+          Buffer.clear buf;
+          Buffer.add_substring buf data consumed (String.length data - consumed);
+          out := r :: !out;
+          take ()
+        | Http.Incomplete | Http.Invalid _ -> ()
+      in
+      take ())
+    chunks;
+  List.rev !out
+
+let param_text_gen =
+  QCheck.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'z'; '0'; '9'; '_'; '.'; '-'; '%'; '+'; '='; 'F' ])
+      (int_range 0 8))
+
+let request_gen =
+  let open QCheck.Gen in
+  let get =
+    map3
+      (fun path params close ->
+        let query =
+          String.concat "&" (List.map (fun (k, v) -> k ^ "=" ^ v) params)
+        in
+        Printf.sprintf "GET %s%s HTTP/1.1\r\nHost: localhost\r\n%s\r\n" path
+          (if params = [] then "" else "?" ^ query)
+          (if close then "Connection: close\r\n" else ""))
+      (oneofl [ "/v1/sumrate"; "/v1/select"; "/healthz" ])
+      (list_size (int_range 0 4) (pair param_text_gen param_text_gen))
+      bool
+  in
+  let post =
+    map
+      (fun body ->
+        Printf.sprintf
+          "POST /v1/query HTTP/1.1\r\ncontent-LENGTH:  %d \r\nX-Note: a:b\r\n\r\n%s"
+          (String.length body) body)
+      (string_size ~gen:(oneofl [ '{'; '}'; '"'; 'a'; '1'; '\r'; '\n'; ' ' ])
+         (int_range 0 40))
+  in
+  oneof [ get; post ]
+
+(* a stream of 1-4 pipelined requests and cut points in it *)
+let stream_gen =
+  let open QCheck.Gen in
+  list_size (int_range 1 4) request_gen >>= fun reqs ->
+  let s = String.concat "" reqs in
+  list_size (int_range 0 8) (int_range 0 (String.length s)) >|= fun cuts ->
+  (List.length reqs, s, List.sort_uniq compare cuts)
+
+let split s cuts =
+  let rec go from = function
+    | [] -> [ String.sub s from (String.length s - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  go 0 cuts
+
+let prop_framing_invariance =
+  QCheck.Test.make ~count:300 ~name:"http: any split parses like the whole stream"
+    (QCheck.make
+       ~print:(fun (_, s, cuts) ->
+         Printf.sprintf "%S cut at %s" s
+           (String.concat "," (List.map string_of_int cuts)))
+       stream_gen)
+    (fun (n, s, cuts) ->
+      let whole = drain [ s ] in
+      List.length whole = n && drain (split s cuts) = whole)
+
+let parse_total s =
+  match Http.parse s with
+  | Http.Complete (_, consumed) -> consumed > 0 && consumed <= String.length s
+  | Http.Incomplete | Http.Invalid _ -> true
+
+let prop_http_total =
+  QCheck.Test.make ~count:1000 ~name:"http: random bytes never raise"
+    QCheck.(
+      oneof
+        [ string;
+          map (fun s -> "GET /" ^ s) (string_gen_of_size Gen.(int_range 0 60)
+             Gen.(oneofl [ ' '; '\r'; '\n'; ':'; '?'; '&'; '='; '%'; 'H'; 'a'; '1' ]));
+        ])
+    parse_total
+
+(* Heads and bodies a few bytes either side of the 16 KiB and 64 KiB
+   bounds: within them a request parses, beyond them it is [Invalid],
+   never an exception or an unbounded wait. *)
+let prop_http_bounds =
+  QCheck.Test.make ~count:60 ~name:"http: size bounds give Invalid, not a raise"
+    QCheck.(pair (int_range 0 2) (int_range (-3) 3))
+    (fun (shape, d) ->
+      let max_head = 16 * 1024 and max_body = 64 * 1024 in
+      match shape with
+      | 0 ->
+        (* a complete head of [max_head + d] bytes before the blank line *)
+        let line = "GET / HTTP/1.1\r\nX: " in
+        let pad = max_head + d - String.length line in
+        let s = line ^ String.make pad 'a' ^ "\r\n\r\n" in
+        (match Http.parse s with
+        | Http.Invalid "header block too large" -> d > 0
+        | Http.Complete _ -> d <= 0
+        | _ -> false)
+      | 1 ->
+        (* no blank line yet *)
+        (match Http.parse (String.make (max_head + d) 'a') with
+        | Http.Invalid "header block too large" -> d > 0
+        | Http.Incomplete -> d <= 0
+        | _ -> false)
+      | _ ->
+        let len = max_body + d in
+        let s =
+          Printf.sprintf "POST / HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" len
+            (String.make len 'b')
+        in
+        (match Http.parse s with
+        | Http.Invalid "body too large" -> d > 0
+        | Http.Complete (r, _) -> d <= 0 && String.length r.Http.body = len
+        | _ -> false))
+
+let prop_json_total =
+  QCheck.Test.make ~count:1000 ~name:"json: random bytes never raise"
+    QCheck.(
+      oneof
+        [ string;
+          string_gen_of_size Gen.(int_range 0 80)
+            Gen.(oneofl
+                   [ '{'; '}'; '['; ']'; '"'; ':'; ','; '-'; '+'; '.'; 'e';
+                     '0'; '7'; 'n'; 'u'; 'l'; 't'; '\\'; ' '; '\255' ]);
+        ])
+    (fun s ->
+      match Json.parse s with Ok _ | Error _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* Query parsing and evaluation                                        *)
 (* ------------------------------------------------------------------ *)
@@ -169,6 +312,153 @@ let test_query_eval_deterministic () =
   let b = Json.to_string (Query.eval q) in
   Alcotest.(check string) "eval byte-stable across cache clears" a b
 
+(* Queries for the key properties: every kind, bound and protocol,
+   and floats drawn from a small pool holding 0 and -0 and 1-ulp
+   neighbours, or from the whole range. *)
+let db_gen =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ 0.; -0.; 5.; Float.succ 5.; Float.pred 5.; 7.5; -60.; 60.; 0.1 ];
+        float_range (-60.) 60.;
+      ])
+
+let query_gen =
+  let open QCheck.Gen in
+  let protocol = oneofl (None :: List.map Option.some Bidir.Protocol.all) in
+  map
+    (fun ((kind, bound, protocol), (weights, (p, a), (b, c))) ->
+      let protocol =
+        match (kind, protocol) with
+        | Query.Region, None -> Some Bidir.Protocol.Hbc
+        | _ -> protocol
+      in
+      get_exn
+        (Query.make ~kind ~power_db:p ~gains_db:(a, b, c) ~bound ?protocol
+           ~weights ()))
+    (pair
+       (triple
+          (oneofl [ Query.Sumrate; Query.Select; Query.Region ])
+          (oneofl [ Bidir.Bound.Inner; Bidir.Bound.Outer ])
+          protocol)
+       (triple (oneofl [ 3; 33; 513 ]) (pair db_gen db_gen) (pair db_gen db_gen)))
+
+(* Request [i] as [bidir loadgen] sends it (GET for even [i], POST for
+   odd), decoded as the daemon routes it. *)
+let loadgen_roundtrip i (q : Query.t) =
+  match Http.parse (Serve.Loadgen.request_string ~host:"127.0.0.1" i q) with
+  | Http.Complete (r, _) when r.Http.meth = "GET" ->
+    Query.of_params ~kind:(Query.kind_name q.kind) r.Http.params
+  | Http.Complete (r, _) -> Result.bind (Json.parse r.Http.body) Query.of_json
+  | _ -> Error "request does not parse"
+
+(* [q] with float field [i] (power_db, g_ab, g_ar, g_br) set by [f] *)
+let with_float (q : Query.t) i f =
+  let p = q.power_db and a, b, c = q.gains_db in
+  let p, a, b, c =
+    match i with
+    | 0 -> (f p, a, b, c)
+    | 1 -> (p, f a, b, c)
+    | 2 -> (p, a, f b, c)
+    | _ -> (p, a, b, f c)
+  in
+  get_exn
+    (Query.make ~kind:q.kind ~power_db:p ~gains_db:(a, b, c) ~bound:q.bound
+       ?protocol:q.protocol ~weights:q.weights ())
+
+(* Pairs that often share a key, and pairs one bit apart: a field at 0
+   against -0, or one ulp towards 0. *)
+let query_pair_gen =
+  let open QCheck.Gen in
+  query_gen >>= fun q ->
+  int_bound 3 >>= fun i ->
+  oneof
+    [ map (fun q2 -> (q, q2)) query_gen;
+      return (q, q);
+      return (q, with_float q i (fun x -> if x > 0. then Float.pred x else Float.succ x));
+      return (with_float q i (fun _ -> 0.), with_float q i (fun _ -> -0.));
+    ]
+
+let prop_keys_agree =
+  QCheck.Test.make ~count:500
+    ~name:"query: binary key, text key and both front doors agree"
+    (QCheck.make
+       ~print:(fun (q1, q2) -> Query.key q1 ^ " / " ^ Query.key q2)
+       query_pair_gen)
+    (fun (q1, q2) ->
+      let same_key r q = match r with Ok q' -> Query.key q' = Query.key q | Error _ -> false in
+      Bool.equal (Query.cache_key q1 = Query.cache_key q2) (Query.key q1 = Query.key q2)
+      && String.length (Query.cache_key q1) = 40
+      && same_key (Query.of_json (Query.to_json q1)) q1
+      && same_key (loadgen_roundtrip 0 q1) q1
+      && same_key (loadgen_roundtrip 1 q1) q1)
+
+(* Edge inputs at both front doors, with the outcome ("OK <key>" or
+   the 400 text) each had before the decoder read typed values. *)
+let edge_cases =
+  [ (`Post {|{"kind":"sumrate","weights":33.5}|}, "ERR weights: not an integer: 33.5");
+    (`Post {|{"kind":"sumrate","weights":"x"}|}, "ERR weights: not an integer: x");
+    (`Post {|{"kind":"sumrate","weights":33.0}|}, "OK sumrate|inner|-|33|10|0|5|7");
+    (`Post {|{"kind":"sumrate","weights":"33"}|}, "OK sumrate|inner|-|33|10|0|5|7");
+    (`Post {|{"kind":"sumrate","weights":1e20}|}, "ERR weights: not an integer: 1e+20");
+    (`Post {|{"kind":"sumrate","weights":-0.0}|}, "ERR weights out of range [3, 513]");
+    (`Post {|{"kind":"sumrate","bound":3}|}, "ERR bound: expected inner|outer, got 3");
+    (`Post {|{"kind":"sumrate","protocol":1.5}|}, "ERR unknown protocol: 1.5");
+    (`Post {|{"kind":"sumrate","power_db":"abc"}|}, "ERR power_db: not a number: abc");
+    (`Post {|{"kind":"sumrate","power_db":"7.5"}|}, "OK sumrate|inner|-|33|7.5|0|5|7");
+    (`Post {|{"kind":"sumrate","power_db":-0.0}|}, "OK sumrate|inner|-|33|-0|0|5|7");
+    (`Post {|{"kind":"sumrate","power_db":true}|}, "ERR power_db: unsupported type");
+    (`Post {|{"kind":"sumrate","power_db":null}|}, "OK sumrate|inner|-|33|10|0|5|7");
+    (`Post {|{"kind":"sumrate","power_db":1e999}|}, "ERR power_db out of range [-60, 60] dB");
+    (`Post {|{"kind":"sumrate","power_db":5,"power_db":6}|}, "OK sumrate|inner|-|33|5|0|5|7");
+    (`Post {|{"kind":"sumrate","volume":11}|}, "ERR unknown field: volume");
+    (`Post {|{"kind":"sumrate","power_db":"abc","volume":11}|}, "ERR unknown field: volume");
+    (`Post {|{"kind":"region"}|}, "ERR region query requires a protocol");
+    (`Post {|{"kind":"region","protocol":"mabc"}|}, "OK region|inner|MABC|33|10|0|5|7");
+    (`Post {|{"kind":3}|}, "ERR unknown query kind: 3");
+    (`Post {|{"power_db":1}|}, "ERR missing field: kind");
+    (`Post {|{"kind":null}|}, "ERR missing field: kind");
+    (`Post {|[1]|}, "ERR query body must be a JSON object");
+    (`Post {|{"kind":"sumrate","g_ab":[1]}|}, "ERR g_ab: unsupported type");
+    ( `Post {|{"kind":"sumrate","protocol":"TDBC","bound":"outer","power_db":5.25,"g_ab":-1,"g_ar":2.5,"g_br":3}|},
+      "OK sumrate|outer|TDBC|33|5.25|-1|2.5|3" );
+    (`Post {|{"kind":"select","power_db":99,"weights":1}|}, "ERR power_db out of range [-60, 60] dB");
+    (`Get ("sumrate", [ ("weights", "33.5") ]), "ERR weights: not an integer: 33.5");
+    (`Get ("sumrate", [ ("weights", "x") ]), "ERR weights: not an integer: x");
+    (`Get ("sumrate", [ ("weights", "33.0") ]), "ERR weights: not an integer: 33.0");
+    (`Get ("sumrate", [ ("weights", "0x21") ]), "OK sumrate|inner|-|33|10|0|5|7");
+    (`Get ("sumrate", [ ("bound", "3") ]), "ERR bound: expected inner|outer, got 3");
+    (`Get ("sumrate", [ ("protocol", "1.5") ]), "ERR unknown protocol: 1.5");
+    (`Get ("sumrate", [ ("power_db", "abc") ]), "ERR power_db: not a number: abc");
+    (`Get ("sumrate", [ ("power_db", "-0") ]), "OK sumrate|inner|-|33|-0|0|5|7");
+    (`Get ("sumrate", [ ("power_db", "") ]), "ERR power_db: not a number: ");
+    (`Get ("sumrate", [ ("volume", "11") ]), "ERR unknown parameter: volume");
+    (`Get ("sumrate", [ ("power_db", "abc"); ("volume", "11") ]), "ERR unknown parameter: volume");
+    (`Get ("region", []), "ERR region query requires a protocol");
+    (`Get ("dance", []), "ERR unknown query kind: dance");
+    (`Get ("sumrate", [ ("power_db", "5"); ("power_db", "6") ]), "OK sumrate|inner|-|33|5|0|5|7");
+  ]
+
+let test_query_edge_inputs () =
+  List.iter
+    (fun (input, expected) ->
+      let decoded, label =
+        match input with
+        | `Post body ->
+          ( (match Json.parse body with
+            | Ok j -> Query.of_json j
+            | Error e -> Error ("body: " ^ e)),
+            "POST " ^ body )
+        | `Get (kind, params) ->
+          ( Query.of_params ~kind params,
+            "GET " ^ kind ^ " "
+            ^ String.concat "&" (List.map (fun (k, v) -> k ^ "=" ^ v) params) )
+      in
+      let got =
+        match decoded with Ok q -> "OK " ^ Query.key q | Error e -> "ERR " ^ e
+      in
+      Alcotest.(check string) label expected got)
+    edge_cases
+
 (* ------------------------------------------------------------------ *)
 (* Service: memo-backed batching                                       *)
 (* ------------------------------------------------------------------ *)
@@ -181,18 +471,20 @@ let test_service_cache_and_batches () =
   let q1 = get_exn (Query.make ~kind:Query.Sumrate ~power_db:0. ()) in
   let q2 = get_exn (Query.make ~kind:Query.Sumrate ~power_db:10. ()) in
   let h0 = hits () and m0 = misses () in
-  (* a batch with an internal duplicate: the duplicate is neither a
-     hit nor a miss, and both copies get the same body *)
+  (* a batch with an internal duplicate: the duplicate is answered by
+     the first copy's evaluation, so it counts as a hit, and both copies
+     get the same body; every admitted query is one hit or one miss *)
   (match Serve.Service.respond_batch [ q1; q2; q1 ] with
   | [ b1; b2; b3 ] ->
     Alcotest.(check string) "duplicate shares the body" b1 b3;
     Alcotest.(check bool) "distinct queries differ" true (b1 <> b2)
   | l -> Alcotest.failf "expected 3 bodies, got %d" (List.length l));
-  Alcotest.(check int) "no hits on a cold cache" 0 (hits () - h0);
+  Alcotest.(check int) "only the duplicate hits on a cold cache" 1
+    (hits () - h0);
   Alcotest.(check int) "two unique misses" 2 (misses () - m0);
   (* the same batch again: all hits, same bytes *)
   let again = Serve.Service.respond_batch [ q1; q2; q1 ] in
-  Alcotest.(check int) "three hits when warm" 3 (hits () - h0);
+  Alcotest.(check int) "three hits when warm" 3 (hits () - h0 - 1);
   Alcotest.(check int) "no new misses" 2 (misses () - m0);
   Alcotest.(check (list string))
     "warm bytes equal cold bytes" (Serve.Service.respond_batch [ q1; q2; q1 ])
@@ -223,6 +515,26 @@ let test_service_cache_cleared () =
   Alcotest.(check (list string)) "repeat = cold bytes" cold
     (Serve.Service.respond_batch pool);
   Alcotest.(check int) "repeat is all hits" (List.length pool) (hits () - h0)
+
+(* A hit on a filled cache allocates the copy of the stored body and
+   at most 48 words besides: the binary key, the probe's option and
+   the two result lists. The text key alone took about 218 words. *)
+let test_service_hit_allocation () =
+  let q = get_exn (Query.make ~kind:Query.Select ~power_db:5. ()) in
+  let body = Serve.Service.respond q in
+  let batch = [ q ] in
+  let words () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Serve.Service.respond_batch batch));
+    Gc.minor_words () -. w0
+  in
+  ignore (words ());
+  let used = words () in
+  (* a string of n bytes takes n / 8 + 1 words and a header *)
+  let body_words = float_of_int ((String.length body / 8) + 2) in
+  if used > body_words +. 48. then
+    Alcotest.failf "a hit allocated %.0f words; the body copy is %.0f" used
+      body_words
 
 let test_service_envelope_shape () =
   let q = get_exn (Query.make ~kind:Query.Sumrate ()) in
@@ -387,7 +699,13 @@ let suites =
         Alcotest.test_case "url decoding" `Quick test_http_url_decode;
         Alcotest.test_case "response serialization" `Quick
           test_http_response_roundtrip;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_framing_invariance;
+            prop_http_total;
+            prop_http_bounds;
+            prop_json_total;
+          ] );
     ( "serve.query",
       [ Alcotest.test_case "params/json round-trip" `Quick
           test_query_params_roundtrip;
@@ -395,6 +713,9 @@ let suites =
           test_query_defaults_and_validation;
         Alcotest.test_case "eval byte-stable" `Quick
           test_query_eval_deterministic;
+        Alcotest.test_case "edge inputs keep their outcome" `Quick
+          test_query_edge_inputs;
+        QCheck_alcotest.to_alcotest prop_keys_agree;
       ] );
     ( "serve.service",
       [ Alcotest.test_case "cache hits, duplicates, batches" `Quick
@@ -403,6 +724,8 @@ let suites =
           test_service_batch_matches_sequential;
         Alcotest.test_case "clear_all empties the cache" `Quick
           test_service_cache_cleared;
+        Alcotest.test_case "hit allocation budget" `Quick
+          test_service_hit_allocation;
         Alcotest.test_case "envelope shape" `Quick test_service_envelope_shape;
         Alcotest.test_case "scenario pick deterministic" `Quick
           test_scenarios_pick_deterministic;
