@@ -208,18 +208,6 @@ let status_line status =
 
 let ok_line = status_line 200
 
-(* [string_of_int] of a length, without the C formatter *)
-let decimal n =
-  let rec width n = if n < 10 then 1 else 1 + width (n / 10) in
-  let w = width n in
-  let b = Bytes.create w in
-  let v = ref n in
-  for i = w - 1 downto 0 do
-    Bytes.unsafe_set b i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
-    v := !v / 10
-  done;
-  Bytes.unsafe_to_string b
-
 let response ?(status = 200) ?(content_type = "application/json") ?(close = false)
     body =
   String.concat ""
@@ -227,7 +215,7 @@ let response ?(status = 200) ?(content_type = "application/json") ?(close = fals
       "\r\nContent-Type: ";
       content_type;
       "\r\nContent-Length: ";
-      decimal (String.length body);
+      string_of_int (String.length body);
       (if close then "\r\nConnection: close\r\n\r\n" else "\r\n\r\n");
       body;
     ]

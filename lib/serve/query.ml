@@ -160,7 +160,7 @@ let float_slot sl i dflt =
   | Json.Float f -> f
   | Json.Int n -> float_of_int n
   | Json.String s -> (
-    match Json.float_of_string_opt s with
+    match float_of_string_opt s with
     | Some f -> f
     | None ->
       raise (Reject (Printf.sprintf "%s: not a number: %s" (field_name i) s)))

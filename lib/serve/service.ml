@@ -3,6 +3,7 @@ module Json = Telemetry.Json
 let requests_c = Telemetry.Metrics.counter "serve.requests"
 let cache_hits_c = Telemetry.Metrics.counter "serve.cache_hits"
 let cache_misses_c = Telemetry.Metrics.counter "serve.cache_misses"
+let cache_duplicates_c = Telemetry.Metrics.counter "serve.cache_duplicates"
 
 let batch_size_h =
   Telemetry.Metrics.histogram ~lo:1. ~growth:1.02 ~buckets:256
@@ -37,14 +38,15 @@ let probe q = Engine.Memo.find_opt cache (Query.cache_key q)
    evaluation) go out in one pool fan-out and are stored back. *)
 let answer_misses qs probed =
   let seen = Hashtbl.create 16 in
+  let hits = ref 0 and duplicates = ref 0 in
   let misses =
     List.fold_left2
       (fun acc q r ->
         match r with
-        | Some _ -> acc
+        | Some _ -> incr hits; acc
         | None ->
           let k = Query.cache_key q in
-          if Hashtbl.mem seen k then acc
+          if Hashtbl.mem seen k then (incr duplicates; acc)
           else begin
             Hashtbl.add seen k ();
             (k, q) :: acc
@@ -52,9 +54,9 @@ let answer_misses qs probed =
       [] qs probed
   in
   let miss_arr = Array.of_list (List.rev misses) in
-  let n = List.length qs and m = Array.length miss_arr in
-  Telemetry.Metrics.add cache_hits_c (n - m);
-  Telemetry.Metrics.add cache_misses_c m;
+  Telemetry.Metrics.add cache_hits_c !hits;
+  Telemetry.Metrics.add cache_misses_c (Array.length miss_arr);
+  Telemetry.Metrics.add cache_duplicates_c !duplicates;
   let bodies = Engine.Pool.map_array (fun (_, q) -> eval_body q) miss_arr in
   (* [fresh] also serves duplicates when the memo switch is off and
      [put] is a no-op *)

@@ -9,11 +9,11 @@
     [--metrics] dumps, [--live] heartbeats and [bidir check]
     snapshots):
     - [serve.requests] — queries admitted (batch members included)
-    - [serve.cache_hits] / [serve.cache_misses] — one per admitted
-      query: misses count the unique queries evaluated, hits every
-      query answered without an evaluation of its own (a stored body,
-      or an earlier copy in the same batch), so hits + misses =
-      requests
+    - [serve.cache_hits] / [serve.cache_misses] /
+      [serve.cache_duplicates] — one per admitted query: hits are
+      answered by a stored body, misses are the unique queries
+      evaluated, duplicates ride an earlier copy's evaluation in the
+      same batch, so the three sum to requests
     - [serve.batch_size] — histogram of admitted batch sizes
 
     The cache participates in {!Engine.Memo.clear_all}, so "cold

@@ -242,49 +242,8 @@ let rec number_end s n i =
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> number_end s n (i + 1)
     | _ -> i
 
-let rec has_frac s i stop =
-  i < stop
-  && (match String.unsafe_get s i with
-     | '.' | 'e' | 'E' -> true
-     | _ -> has_frac s (i + 1) stop)
-
-let pow10 =
-  [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12;
-     1e13; 1e14; 1e15 |]
-
-(* The value of [s.[a, b)] when it is a plain decimal, [-]d+[.d*] with
-   at most 15 digits, else nan. Such a mantissa and its power of ten
-   are exact doubles, so one division rounds correctly, as strtod
-   does. *)
-let plain_decimal s a b =
-  let neg = a < b && String.unsafe_get s a = '-' in
-  let first = if neg then a + 1 else a in
-  let m = ref 0 and digits = ref 0 and frac = ref (-1) and i = ref first in
-  while
-    !i < b
-    &&
-    match String.unsafe_get s !i with
-    | '0' .. '9' as c ->
-      m := (10 * !m) + (Char.code c - Char.code '0');
-      incr digits;
-      if !frac >= 0 then incr frac;
-      true
-    | '.' -> !frac < 0 && !i > first && (frac := 0; true)
-    | _ -> false
-  do
-    incr i
-  done;
-  if !i < b || !digits = 0 || !digits > 15 then Float.nan
-  else
-    let v = float_of_int !m /. Array.unsafe_get pow10 (max 0 !frac) in
-    if neg then -.v else v
-
-let float_of_string_opt s =
-  let v = plain_decimal s 0 (String.length s) in
-  if Float.is_nan v then Stdlib.float_of_string_opt s else Some v
-
 let float_token r s =
-  match Stdlib.float_of_string_opt s with
+  match float_of_string_opt s with
   | Some f -> Float f
   | None -> fail r "bad number"
 
@@ -297,12 +256,10 @@ let parse_number r =
   let start = r.pos in
   let stop = number_end r.s r.n start in
   r.pos <- stop;
-  if has_frac r.s start stop then
-    let v = plain_decimal r.s start stop in
-    if Float.is_nan v then float_token r (String.sub r.s start (stop - start))
-    else Float v
+  let s = String.sub r.s start (stop - start) in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then
+    float_token r s
   else
-    let s = String.sub r.s start (stop - start) in
     match int_of_string_opt s with Some i -> Int i | None -> float_token r s
 
 let rec parse_value r =

@@ -31,12 +31,6 @@ val parse : string -> (t, string) result
     byte offset. Strings parsed from [to_string] output round-trip
     exactly (the property tests assert parse∘print identity). *)
 
-val float_of_string_opt : string -> float option
-(** [Stdlib.float_of_string_opt], answered without the C conversion
-    when the text is a plain decimal ([-]digits[.digits], at most 15
-    digits): the value is then one correctly rounded division. The
-    parser reads its numbers the same way. *)
-
 val member : string -> t -> t option
 (** [member key json] is the field [key] of an [Obj], [None] otherwise. *)
 

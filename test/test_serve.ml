@@ -465,27 +465,31 @@ let test_query_edge_inputs () =
 
 let hits () = Telemetry.Metrics.value (Telemetry.Metrics.counter "serve.cache_hits")
 let misses () = Telemetry.Metrics.value (Telemetry.Metrics.counter "serve.cache_misses")
+let duplicates () =
+  Telemetry.Metrics.value (Telemetry.Metrics.counter "serve.cache_duplicates")
 
 let test_service_cache_and_batches () =
   Engine.Memo.clear_all ();
   let q1 = get_exn (Query.make ~kind:Query.Sumrate ~power_db:0. ()) in
   let q2 = get_exn (Query.make ~kind:Query.Sumrate ~power_db:10. ()) in
-  let h0 = hits () and m0 = misses () in
-  (* a batch with an internal duplicate: the duplicate is answered by
-     the first copy's evaluation, so it counts as a hit, and both copies
-     get the same body; every admitted query is one hit or one miss *)
+  let h0 = hits () and m0 = misses () and d0 = duplicates () in
+  (* a batch with an internal duplicate: the duplicate rides the first
+     copy's evaluation, so it is neither a hit nor a miss, and both
+     copies get the same body; every admitted query is one hit, one
+     miss or one duplicate *)
   (match Serve.Service.respond_batch [ q1; q2; q1 ] with
   | [ b1; b2; b3 ] ->
     Alcotest.(check string) "duplicate shares the body" b1 b3;
     Alcotest.(check bool) "distinct queries differ" true (b1 <> b2)
   | l -> Alcotest.failf "expected 3 bodies, got %d" (List.length l));
-  Alcotest.(check int) "only the duplicate hits on a cold cache" 1
-    (hits () - h0);
+  Alcotest.(check int) "no hits on a cold cache" 0 (hits () - h0);
   Alcotest.(check int) "two unique misses" 2 (misses () - m0);
+  Alcotest.(check int) "one in-batch duplicate" 1 (duplicates () - d0);
   (* the same batch again: all hits, same bytes *)
   let again = Serve.Service.respond_batch [ q1; q2; q1 ] in
-  Alcotest.(check int) "three hits when warm" 3 (hits () - h0 - 1);
+  Alcotest.(check int) "three hits when warm" 3 (hits () - h0);
   Alcotest.(check int) "no new misses" 2 (misses () - m0);
+  Alcotest.(check int) "no new duplicates" 1 (duplicates () - d0);
   Alcotest.(check (list string))
     "warm bytes equal cold bytes" (Serve.Service.respond_batch [ q1; q2; q1 ])
     again;

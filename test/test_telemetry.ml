@@ -765,34 +765,6 @@ let json_roundtrip_prop =
       | Ok c, Ok p -> J.equal v c && J.equal v p
       | _ -> false)
 
-(* [J.float_of_string_opt] and the parser's numbers read plain
-   decimals without the C conversion; every text must still give
-   Stdlib's double, bit for bit. *)
-let float_text_gen =
-  let open QCheck.Gen in
-  oneof
-    [ string_size ~gen:(oneofl [ '-'; '0'; '1'; '5'; '9'; '.'; 'e'; '+'; '_'; 'x' ])
-        (int_bound 20);
-      map2 (fun neg digits -> (if neg then "-" else "") ^ digits) bool
-        (string_size ~gen:(oneofl [ '0'; '1'; '3'; '7'; '9'; '.' ]) (int_range 1 18));
-      map (Printf.sprintf "%.17g") (float_range (-1e6) 1e6);
-      map (Printf.sprintf "%.1f") (float_range (-100.) 100.);
-      map (fun m -> Printf.sprintf "%.17g" (Float.succ (float_of_int m))) (int_range (-60) 60);
-    ]
-
-let float_parse_prop =
-  QCheck.Test.make ~count:2000 ~name:"JSON numbers read as Stdlib reads them"
-    (QCheck.make ~print:(Printf.sprintf "%S") float_text_gen)
-    (fun s ->
-      let bits = Option.map Int64.bits_of_float in
-      bits (J.float_of_string_opt s) = bits (Stdlib.float_of_string_opt s)
-      &&
-      match (J.parse s, Stdlib.float_of_string_opt s) with
-      | Ok (J.Float f), Some g -> Int64.bits_of_float f = Int64.bits_of_float g
-      | Ok (J.Int i), _ -> int_of_string_opt s = Some i
-      | Ok _, _ -> false
-      | Error _, _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* Live file: writer, strict reader and frame                          *)
 (* ------------------------------------------------------------------ *)
@@ -1293,7 +1265,6 @@ let suites =
         Alcotest.test_case "escapes, surrogate pairs, exponents" `Quick
           test_json_escapes;
         QCheck_alcotest.to_alcotest json_roundtrip_prop;
-        QCheck_alcotest.to_alcotest float_parse_prop;
       ] );
     ( "telemetry.live",
       [ Alcotest.test_case "writer file round-trips through the reader"
