@@ -42,7 +42,7 @@ let kind_arg =
 
 (* Engine knobs: every evaluation command takes [--domains N] (parallel
    LP sweeps; results are bit-identical for any N), [--stats] (print
-   LP-solve and cache counters to stderr when done), [--trace FILE]
+   every telemetry counter and histogram to stderr when done), [--trace FILE]
    (record spans and write a Chrome trace), [--metrics FILE] (dump
    the full telemetry registry as JSON) and [--live FILE] (stream
    bidir-live/2 heartbeats while running; tail with `bidir top`). *)
@@ -68,8 +68,9 @@ let engine_args ?(default_domains = 1) () =
   let stats =
     Arg.(value & flag
          & info [ "stats" ]
-             ~doc:"Print engine statistics (LP solves, cache hit rate, \
-                   per-phase wall time) to stderr on exit.")
+             ~doc:"Print every telemetry counter and histogram (LP \
+                   solves, memo hits and misses, per-phase wall time as \
+                   the sum of its phase.* histogram) to stderr on exit.")
   in
   let trace =
     Arg.(value & opt (some string) None
@@ -118,13 +119,19 @@ let write_file path content =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc content)
 
+(* Run [f] under the wall-time histogram [phase.<label>]: its sum is
+   the phase's time in --stats and --metrics, and `bidir check`
+   time-bands every [phase.*] histogram. *)
+let timed label f =
+  Telemetry.Metrics.time (Telemetry.Metrics.histogram ("phase." ^ label)) f
+
 let with_engine opts f =
   if opts.domains < 1 then begin
     Printf.eprintf "--domains must be >= 1\n";
     exit 2
   end;
   Engine.Pool.set_default_domains opts.domains;
-  Engine.Stats.reset ();
+  Telemetry.Metrics.reset ();
   if opts.trace <> None then Telemetry.Span.start ();
   if opts.resource then Telemetry.Resource.set_enabled true;
   (match opts.live with
@@ -151,8 +158,7 @@ let with_engine opts f =
         write_file path
           (Telemetry.Json.to_string_pretty (Telemetry.Metrics.to_json ()));
         Printf.eprintf "metrics: wrote %s\n" path);
-      if opts.stats then
-        prerr_string (Engine.Stats.to_string (Engine.Stats.snapshot ())))
+      if opts.stats then prerr_string (Telemetry.Metrics.to_text ()))
     f
 
 (* ------------------------------------------------------------------ *)
@@ -234,7 +240,7 @@ let figures_cmd =
         let total = 11 and completed = ref 0 in
         let t0 = Unix.gettimeofday () in
         let step id f =
-          Engine.Stats.timed ("artifact:" ^ id) f;
+          timed ("artifact:" ^ id) f;
           incr completed;
           if Telemetry.Live.is_open () then begin
             let elapsed = Unix.gettimeofday () -. t0 in
@@ -620,13 +626,13 @@ let profile_cmd =
         | "figures" ->
           (* touches every instrumented layer: pool fan-out, LP solves,
              memo caches, figure spans, then the discrete-event loop *)
-          Engine.Stats.timed "profile:figures" (fun () ->
+          timed "profile:figures" (fun () ->
               ignore (Bidir.Figures.fig3 ~samples:9 ());
               ignore (Bidir.Figures.fig4 ~power_db:0. ());
               ignore (Bidir.Figures.gap_table ()));
-          Engine.Stats.timed "profile:netsim" (fun () -> netsim 20)
+          timed "profile:netsim" (fun () -> netsim 20)
         | "sweep" ->
-          Engine.Stats.timed "profile:sweep" (fun () ->
+          timed "profile:sweep" (fun () ->
               Array.iter
                 (fun power_db ->
                   let s =
@@ -636,13 +642,13 @@ let profile_cmd =
                   ignore (Bidir.Optimize.all_sum_rates Bidir.Bound.Inner s))
                 (Numerics.Float_utils.linspace (-10.) 25. 36))
         | "netsim" ->
-          Engine.Stats.timed "profile:netsim" (fun () -> netsim 200)
+          timed "profile:netsim" (fun () -> netsim 200)
         | "campaign" ->
           (* exercises the pool utilization accounting: batches of
              replications fan across [--domains] domains, so
              engine.pool.busy/idle_seconds and
              campaign.pool_idle_seconds populate *)
-          Engine.Stats.timed "profile:campaign" (fun () ->
+          timed "profile:campaign" (fun () ->
               ignore
                 (Campaign.Runner.run
                    (Campaign.Runner.default_config ~seed:11
@@ -650,7 +656,7 @@ let profile_cmd =
                    (Campaign.Workloads.ergodic ~blocks_per_rep:60 ())
                   : Campaign.Runner.result))
         | "network" ->
-          Engine.Stats.timed "profile:network" (fun () ->
+          timed "profile:network" (fun () ->
               let scenario =
                 Network.Scenario.random ~pairs:48 ~relays:3 ~seed:19 ()
               in
@@ -976,11 +982,11 @@ let check_workload () =
       try Sys.remove live_tmp with Sys_error _ -> ())
   @@ fun () ->
   Telemetry.Resource.account @@ fun () ->
-  Engine.Stats.timed "check:figures" (fun () ->
+  timed "check:figures" (fun () ->
       ignore (Bidir.Figures.fig3 ~samples:9 () : Bidir.Figures.figure);
       ignore (Bidir.Figures.fig4 ~power_db:0. () : Bidir.Figures.figure);
       ignore (Bidir.Figures.gap_table () : Bidir.Figures.table));
-  Engine.Stats.timed "check:netsim" (fun () ->
+  timed "check:netsim" (fun () ->
       ignore
         (Netsim.Detailed.run
            (Netsim.Runner.default_config ~protocol:Bidir.Protocol.Tdbc
@@ -989,7 +995,7 @@ let check_workload () =
           : Netsim.Runner.result));
   (* a smoke campaign over the outage workload: gates the replication
      count and the merged delivery/outage counters exactly *)
-  Engine.Stats.timed "check:campaign" (fun () ->
+  timed "check:campaign" (fun () ->
       ignore
         (Campaign.Runner.run
            (Campaign.Runner.default_config ~seed:7 ~batch:16 ~replications:64
@@ -999,7 +1005,7 @@ let check_workload () =
   (* a fixed multi-pair network solve: gates the assignment-LP pivot
      budget (network.assignment_pivots, one-sided) and the per-pair
      sum-rate histogram exactly *)
-  Engine.Stats.timed "check:network" (fun () ->
+  timed "check:network" (fun () ->
       let scenario = Network.Scenario.random ~pairs:12 ~relays:3 ~seed:5 () in
       let table = Network.Assign.rate_table scenario in
       ignore
@@ -1014,7 +1020,7 @@ let check_workload () =
      serve.cache_misses (16) and the batch-size histogram gate
      exactly, while serve.request_seconds stays in the wall-time
      band *)
-  Engine.Stats.timed "check:serve" (fun () ->
+  timed "check:serve" (fun () ->
       let pool = Serve.Scenarios.check_pool () in
       let rec batches = function
         | [] -> []

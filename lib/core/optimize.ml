@@ -41,7 +41,8 @@ let sum_rate_of_mi protocol kind m =
         else []
       in
       Telemetry.Span.with_span ~cat:"optimize" "optimize.sum_rate" ~args
-      @@ fun () -> Rate_region.encode_optimum (Rate_region.solve_template t m))
+      @@ fun () ->
+      Rate_region.encode_optimum (Rate_region.solve_template_into t m))
 
 (* [Gaussian.mi] rejects an invalid scenario before the memo is
    probed, so nothing is stored for it. *)

@@ -16,7 +16,7 @@ val sum_rate : Protocol.t -> Bound.kind -> Gaussian.scenario -> sum_rate_result
 (** Optimal sum rate with LP-optimal phase durations: the ra-most
     maximiser of the system's sum-rate LP (see
     {!Rate_region.max_sum_rate}), solved from its compiled template
-    ({!Rate_region.solve_template}) and memoized on the coefficients
+    ({!Rate_region.solve_template_into}) and memoized on the coefficients
     the template reads. Raises [Invalid_argument] when a mutual
     information of the scenario is not finite and non-negative (a NaN
     or infinite power, say); nothing is memoized then. *)

@@ -85,11 +85,13 @@ let point_key key x y =
 (* Memoized optima are stored as [ra; rb; d_1; ...; d_L] in
    native-endian 8-byte words (see [Engine.Memo]): no entry is a heap
    object the GC must trace, and a hit decodes straight into the
-   caller's result. *)
-let encode_optimum v =
-  let b = Bytes.create (8 * Array.length v) in
-  for i = 0 to Array.length v - 1 do
-    Bytes.set_int64_ne b (8 * i) (Int64.bits_of_float (Array.unsafe_get v i))
+   caller's result. A miss encodes them straight from the solver slot's
+   buffer, [ra; rb; d_1; ...; d_L] then the objective, leaving the
+   objective out. *)
+let encode_optimum x =
+  let b = Bytes.create (8 * (Array.length x - 1)) in
+  for i = 0 to Array.length x - 2 do
+    Bytes.set_int64_ne b (8 * i) (Int64.bits_of_float (Array.unsafe_get x i))
   done;
   Bytes.unsafe_to_string b
 
@@ -217,7 +219,7 @@ let solve_weighted ~key b ~wa ~wb =
   c.(0) <- wa;
   c.(1) <- wb;
   match Linprog.Solver.reoptimize_into slot.solver ~c ~x:slot.x with
-  | Linprog.Solver.Optimal -> Array.sub slot.x 0 nvars
+  | Linprog.Solver.Optimal -> slot.x
   | Linprog.Solver.Unbounded ->
     failwith "Rate_region.max_weighted: unbounded bound system"
   | Linprog.Solver.Infeasible ->
@@ -519,13 +521,6 @@ let contains_region big small =
     (fun (p : Numerics.Vec2.t) ->
       achievable_keyed ~key big ~ra:p.Numerics.Vec2.x ~rb:p.Numerics.Vec2.y)
     (boundary small)
-
-let distance_outside b ~ra ~rb =
-  let key = bound_key b in
-  if achievable_keyed ~key b ~ra ~rb then 0.
-  else
-    Numerics.Polygon.distance_to_boundary (polygon_keyed ~key b)
-      (Numerics.Vec2.make ra rb)
 
 let max_product b =
   let pts = boundary b in

@@ -40,8 +40,10 @@ val max_weighted : Bound.t -> wa:float -> wb:float -> opt_result
     warm-start solvers. *)
 
 val encode_optimum : float array -> string
-(** [[ra; rb; d_1; ...; d_L]] as the memo value of an LP optimum:
-    native-endian 8-byte words, bit for bit. *)
+(** The memo value of an LP optimum, from a solution buffer as
+    {!solve_template_into} returns it: [[ra; rb; d_1; ...; d_L]] as
+    native-endian 8-byte words, bit for bit, without the buffer's last
+    word (the objective). *)
 
 val optimum_word : Bytes.t -> int -> int -> float
 (** [optimum_word b off i] is word [i] of the optimum encoded at
@@ -50,11 +52,6 @@ val optimum_word : Bytes.t -> int -> int -> float
 val optimum_deltas : Bytes.t -> int -> int -> float array
 (** [optimum_deltas b off len]: a fresh copy of [[d_1; ...; d_L]] from
     the [len] bytes of an optimum encoded at [b.[off]]. *)
-
-val system_tag : Protocol.t -> Bound.kind -> int
-(** A small integer, distinct for every (protocol, bound kind) pair:
-    the first word of the binary cache keys built here and in
-    {!Optimize}. *)
 
 val max_sum_rate : Bound.t -> opt_result
 (** The optimal sum rate and the durations achieving it (the quantity
@@ -133,11 +130,6 @@ val area : Bound.t -> float
 val contains_region : Bound.t -> Bound.t -> bool
 (** [contains_region big small]: every boundary vertex of [small] is
     achievable under [big] (exact for convex regions). *)
-
-val distance_outside : Bound.t -> ra:float -> rb:float -> float
-(** 0 when the pair is achievable; otherwise the Euclidean distance from
-    the pair to the region's polygon — used to quantify by how much an
-    HBC point escapes the MABC/TDBC outer bounds. *)
 
 val max_product : Bound.t -> Numerics.Vec2.t
 (** The proportional-fair operating point: the rate pair on the Pareto

@@ -29,14 +29,6 @@ type t = {
   mutable fill : int; (* bytes used in the current chunk *)
 }
 
-let global_enabled = Atomic.make true
-
-let enabled () = Atomic.get global_enabled
-
-let with_enabled b f =
-  let prev = Atomic.exchange global_enabled b in
-  Fun.protect ~finally:(fun () -> Atomic.set global_enabled prev) f
-
 (* Run by [clear_all]: every table's [clear], and caches that live
    outside a table (per-domain warm-start solver slots, for instance)
    invalidating themselves, so "cold cache" stays cold for every layer.
@@ -236,60 +228,49 @@ let bump = function
   | Some c -> Telemetry.Metrics.incr c
   | None -> ()
 
-let decode_string decode v =
-  decode (Bytes.unsafe_of_string v) 0 (String.length v)
-
 let find_or_add t key ~decode compute =
-  if not (enabled ()) then decode_string decode (compute ())
+  let k = Bytes.unsafe_of_string key in
+  let h = hash k in
+  Mutex.lock t.lock;
+  let loc = lookup t k h in
+  if loc >= 0 then begin
+    let v = decode_unlock t loc decode in
+    bump t.hits;
+    v
+  end
   else begin
-    let k = Bytes.unsafe_of_string key in
-    let h = hash k in
+    Mutex.unlock t.lock;
+    bump t.misses;
+    let v = compute () in
     Mutex.lock t.lock;
     let loc = lookup t k h in
-    if loc >= 0 then begin
-      let v = decode_unlock t loc decode in
-      bump t.hits;
-      v
-    end
+    if loc >= 0 then decode_unlock t loc decode (* another domain raced us *)
     else begin
+      insert t k h v;
       Mutex.unlock t.lock;
-      bump t.misses;
-      let v = compute () in
-      Mutex.lock t.lock;
-      let loc = lookup t k h in
-      if loc >= 0 then decode_unlock t loc decode (* another domain raced us *)
-      else begin
-        insert t k h v;
-        Mutex.unlock t.lock;
-        decode_string decode v
-      end
+      decode (Bytes.unsafe_of_string v) 0 (String.length v)
     end
   end
 
 let find_opt t key =
-  if not (enabled ()) then None
+  let k = Bytes.unsafe_of_string key in
+  let h = hash k in
+  Mutex.lock t.lock;
+  let loc = lookup t k h in
+  if loc >= 0 then begin
+    let v = decode_unlock t loc Bytes.sub_string in
+    bump t.hits;
+    Some v
+  end
   else begin
-    let k = Bytes.unsafe_of_string key in
-    let h = hash k in
-    Mutex.lock t.lock;
-    let loc = lookup t k h in
-    if loc >= 0 then begin
-      let v = decode_unlock t loc Bytes.sub_string in
-      bump t.hits;
-      Some v
-    end
-    else begin
-      Mutex.unlock t.lock;
-      bump t.misses;
-      None
-    end
+    Mutex.unlock t.lock;
+    bump t.misses;
+    None
   end
 
 let put t key v =
-  if enabled () then begin
-    let k = Bytes.unsafe_of_string key in
-    let h = hash k in
-    Mutex.lock t.lock;
-    if lookup t k h < 0 then insert t k h v;
-    Mutex.unlock t.lock
-  end
+  let k = Bytes.unsafe_of_string key in
+  let h = hash k in
+  Mutex.lock t.lock;
+  if lookup t k h < 0 then insert t k h v;
+  Mutex.unlock t.lock

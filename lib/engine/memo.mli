@@ -1,5 +1,4 @@
-(** The memo table: [string] keys to byte-string values, thread-safe,
-    behind one global enable switch.
+(** The memo table: [string] keys to byte-string values, thread-safe.
 
     Every cache of the evaluation stack is one of these: the LP optima
     of [Rate_region] and [Optimize] (stored as 8-byte float words) and
@@ -18,11 +17,7 @@
     stored value — harmless as long as the computation is
     deterministic, which is the contract of every caller in this repo.
     An exception from a computation stores nothing. Keys are equal iff
-    their bytes are.
-
-    When the global switch is off ({!with_enabled} [false]) nothing is
-    looked up, stored or counted, so disabling the caches changes wall
-    time but never results. *)
+    their bytes are. *)
 
 type t
 
@@ -38,19 +33,16 @@ val find_or_add :
     [compute ()], stores its result and decodes that. A stored value is
     decoded straight from the table's storage, under its lock: [decode]
     must only read [b], and only the given range, and must copy what it
-    keeps. When the global switch is off it decodes [compute ()] and
-    stores nothing. *)
+    keeps. *)
 
 val find_opt : t -> string -> string option
-(** A copy of the value stored for [k], counted as a hit or a miss.
-    Always [None] (and not counted) when the global switch is off. For
+(** A copy of the value stored for [k], counted as a hit or a miss. For
     callers that batch their misses into one parallel computation
     before storing the results with {!put}. *)
 
 val put : t -> string -> string -> unit
 (** Store a computed value. First writer wins (matching
-    {!find_or_add}'s race policy); a no-op when the global switch is
-    off, so a disabled cache never retains results. *)
+    {!find_or_add}'s race policy). *)
 
 val clear : t -> unit
 (** Drop every entry, keeping the chunks for the next fill. *)
@@ -68,10 +60,3 @@ val on_clear_all : (unit -> unit) -> unit
     [Domain.DLS]) the hook typically bumps an epoch that each domain
     checks before reusing its cache. Hooks are never unregistered;
     register from module initialisers only. *)
-
-val enabled : unit -> bool
-(** The global switch shared by all tables (default: enabled). *)
-
-val with_enabled : bool -> (unit -> 'a) -> 'a
-(** Run a thunk with the switch temporarily forced to the given state,
-    restoring the previous state afterwards (also on exceptions). *)

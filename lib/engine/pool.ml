@@ -121,7 +121,6 @@ let map_array ?domains f items =
   @@ fun () ->
   if d <= 1 || Domain.DLS.get in_worker then Array.map f items
   else begin
-    Stats.record_pool_tasks n;
     (* capture the caller's span context so spans opened inside pool
        tasks report this map's enclosing span as their logical parent,
        whichever domain they run on *)

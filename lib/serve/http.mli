@@ -44,7 +44,5 @@ val response :
     [Connection: close], blank line, body). Default status 200,
     content type [application/json]. *)
 
-val status_reason : int -> string
-
 val url_decode : string -> string
 (** Percent- and [+]-decoding for query parameter names and values. *)

@@ -37,6 +37,7 @@ let probe q = Engine.Memo.find_opt cache (Query.cache_key q)
    order (duplicates within the batch ride the first occurrence's
    evaluation) go out in one pool fan-out and are stored back. *)
 let answer_misses qs probed =
+  (* cache key -> index of its evaluation in [miss_arr] *)
   let seen = Hashtbl.create 16 in
   let hits = ref 0 and duplicates = ref 0 in
   let misses =
@@ -48,7 +49,7 @@ let answer_misses qs probed =
           let k = Query.cache_key q in
           if Hashtbl.mem seen k then (incr duplicates; acc)
           else begin
-            Hashtbl.add seen k ();
+            Hashtbl.add seen k (Hashtbl.length seen);
             (k, q) :: acc
           end)
       [] qs probed
@@ -58,19 +59,12 @@ let answer_misses qs probed =
   Telemetry.Metrics.add cache_misses_c (Array.length miss_arr);
   Telemetry.Metrics.add cache_duplicates_c !duplicates;
   let bodies = Engine.Pool.map_array (fun (_, q) -> eval_body q) miss_arr in
-  (* [fresh] also serves duplicates when the memo switch is off and
-     [put] is a no-op *)
-  let fresh = Hashtbl.create 16 in
-  Array.iteri
-    (fun i (k, _) ->
-      Engine.Memo.put cache k bodies.(i);
-      Hashtbl.replace fresh k bodies.(i))
-    miss_arr;
+  Array.iteri (fun i (k, _) -> Engine.Memo.put cache k bodies.(i)) miss_arr;
   List.map2
     (fun q r ->
       match r with
       | Some body -> body
-      | None -> Hashtbl.find fresh (Query.cache_key q))
+      | None -> bodies.(Hashtbl.find seen (Query.cache_key q)))
     qs probed
 
 let respond_batch qs =

@@ -97,7 +97,7 @@ let to_text () =
     (fun (n, h) ->
       let p50, p90, p99 = Histogram.percentiles h in
       Printf.bprintf b
-        "%-40s count=%d mean=%.3g p50=%.3g p90=%.3g p99=%.3g\n" n
-        (Histogram.count h) (Histogram.mean h) p50 p90 p99)
+        "%-40s count=%d sum=%.3g mean=%.3g p50=%.3g p90=%.3g p99=%.3g\n" n
+        (Histogram.count h) (Histogram.sum h) (Histogram.mean h) p50 p90 p99)
     (histograms ());
   Buffer.contents b

@@ -48,4 +48,5 @@ val to_json : unit -> Json.t
 
 val to_text : unit -> string
 (** Human-readable dump: one line per counter, one per histogram with
-    count/mean/p50/p90/p99. *)
+    count/sum/mean/p50/p90/p99 (the sum of a [phase.<label>] histogram
+    is that phase's wall time in seconds). *)

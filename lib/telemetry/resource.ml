@@ -8,7 +8,6 @@
 type sample = {
   s_minor_words : float;
   s_major_words : float;
-  s_promoted_words : float;
   s_minor_collections : int;
   s_major_collections : int;
   s_alloc_bytes : float;
@@ -17,7 +16,6 @@ type sample = {
 type delta = {
   minor_words : float;
   major_words : float;
-  promoted_words : float;
   minor_collections : int;
   major_collections : int;
   alloc_bytes : float;
@@ -66,7 +64,6 @@ let sample () =
   let alloc = alloc_mark_begin () in
   { s_minor_words = minor_words;
     s_major_words = q.Gc.major_words;
-    s_promoted_words = q.Gc.promoted_words;
     s_minor_collections = q.Gc.minor_collections;
     s_major_collections = q.Gc.major_collections;
     s_alloc_bytes = alloc;
@@ -81,7 +78,6 @@ let delta_since s0 =
   let dfloat a b = Float.max 0. (b -. a) in
   { minor_words = dfloat s0.s_minor_words minor_words;
     major_words = dfloat s0.s_major_words q.Gc.major_words;
-    promoted_words = dfloat s0.s_promoted_words q.Gc.promoted_words;
     minor_collections = max 0 (q.Gc.minor_collections - s0.s_minor_collections);
     major_collections = max 0 (q.Gc.major_collections - s0.s_major_collections);
     alloc_bytes = dfloat s0.s_alloc_bytes alloc;
@@ -99,16 +95,12 @@ let measure f =
 (* Registered at module initialisation so the [gc.*] keys appear in
    every metrics dump (value 0 until something is accounted). *)
 let minor_words_c = Metrics.counter "gc.minor_words"
-let major_words_c = Metrics.counter "gc.major_words"
-let promoted_words_c = Metrics.counter "gc.promoted_words"
 let minor_collections_c = Metrics.counter "gc.minor_collections"
 let major_collections_c = Metrics.counter "gc.major_collections"
 let alloc_bytes_c = Metrics.counter "gc.alloc_bytes"
 
 let add_to_registry d =
   Metrics.add minor_words_c (int_of_float d.minor_words);
-  Metrics.add major_words_c (int_of_float d.major_words);
-  Metrics.add promoted_words_c (int_of_float d.promoted_words);
   Metrics.add minor_collections_c d.minor_collections;
   Metrics.add major_collections_c d.major_collections;
   Metrics.add alloc_bytes_c (int_of_float d.alloc_bytes)

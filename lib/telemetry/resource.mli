@@ -32,7 +32,6 @@ val sample : unit -> sample
 type delta = {
   minor_words : float;        (** words allocated in the minor heap *)
   major_words : float;        (** words allocated directly on the major heap *)
-  promoted_words : float;     (** words promoted minor → major *)
   minor_collections : int;
   major_collections : int;    (** completed major cycles *)
   alloc_bytes : float;
@@ -63,11 +62,10 @@ val alloc_mark_end : unit -> float
 
 val account : (unit -> 'a) -> 'a
 (** Run the thunk and fold its GC delta into the registry counters
-    [gc.minor_words], [gc.major_words], [gc.promoted_words],
-    [gc.minor_collections], [gc.major_collections] and [gc.alloc_bytes]
-    (also on exceptions). The counters are registered at module
-    initialisation, so they appear (as 0) in every metrics dump.
-    Unconditional; callers gate on {!enabled}. *)
+    [gc.minor_words], [gc.minor_collections], [gc.major_collections]
+    and [gc.alloc_bytes] (also on exceptions). The counters are
+    registered at module initialisation, so they appear (as 0) in every
+    metrics dump. Unconditional; callers gate on {!enabled}. *)
 
 val span_args : delta -> (string * Json.t) list
 (** Render a delta as span-event arguments ([gc.minor_words], …). *)

@@ -25,35 +25,3 @@ let chrome_trace events =
     ]
 
 let chrome_trace_string events = Json.to_string_pretty (chrome_trace events)
-
-let jsonl events =
-  String.concat ""
-    (List.map
-       (fun (e : Span.event) ->
-         Json.to_string
-           (Json.Obj
-              ([ ("name", Json.String e.Span.name);
-                 ("cat", Json.String e.Span.cat);
-                 ("ts", Json.Float e.Span.ts);
-                 ("dur", Json.Float e.Span.dur);
-                 ("tid", Json.Int e.Span.tid);
-               ]
-              @
-              match event_args e with
-              | [] -> []
-              | args -> [ ("args", Json.Obj args) ]))
-         ^ "\n")
-       events)
-
-let text events =
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (e : Span.event) ->
-      Printf.bprintf b "%10.3f ms %8.3f ms  tid %d  %-10s %s%s\n"
-        (1000. *. e.Span.ts) (1000. *. e.Span.dur) e.Span.tid
-        ("[" ^ e.Span.cat ^ "]")
-        e.Span.name
-        (if e.Span.parent = "" then ""
-         else " (in " ^ e.Span.parent ^ ")"))
-    events;
-  Buffer.contents b

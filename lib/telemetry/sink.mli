@@ -1,14 +1,6 @@
-(** Sinks: render collected span events (and the metrics registry) into
-    concrete output formats.
-
-    A sink is a pure [event list -> string] formatter, so new formats
-    plug in without touching collection. Three are provided:
-
-    - {!chrome_trace_string}: Chrome trace-event JSON ("X" complete
-      events, microsecond timestamps) — load the file in Perfetto
-      (https://ui.perfetto.dev) or chrome://tracing;
-    - {!jsonl}: one JSON object per span per line, for ad-hoc tooling;
-    - {!text}: an indented human-readable listing. *)
+(** The trace sink: render collected span events as Chrome trace-event
+    JSON ("X" complete events, microsecond timestamps) — load the file
+    in Perfetto (https://ui.perfetto.dev) or chrome://tracing. *)
 
 val chrome_trace : Span.event list -> Json.t
 (** [{"traceEvents": [...], "displayTimeUnit": "ms"}]. Each span maps to
@@ -17,7 +9,3 @@ val chrome_trace : Span.event list -> Json.t
     [args.parent]. *)
 
 val chrome_trace_string : Span.event list -> string
-
-val jsonl : Span.event list -> string
-
-val text : Span.event list -> string

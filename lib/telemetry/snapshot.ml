@@ -149,7 +149,9 @@ let ignored_histograms =
    the boundary, polygon and feasibility memo tables, retired when the
    region became exact; the HBC-advantage memo table never hit; and
    [engine.cache_*] recounted every memo lookup, now summed from the
-   [memo.*] counters instead. *)
+   [memo.*] counters instead; [engine.pool_tasks] fed only the old
+   --stats line, and no gate or tool read [gc.major_words] or
+   [gc.promoted_words]. *)
 let ignored_counters =
   [ "engine.lp_solves"; "telemetry.stream.dropped_events";
     "telemetry.log.debug"; "telemetry.log.info"; "telemetry.log.warn";
@@ -159,7 +161,8 @@ let ignored_counters =
     "memo.rate_region.feasibility.hits";
     "memo.rate_region.feasibility.misses";
     "memo.optimize.hbc_advantage.hits"; "memo.optimize.hbc_advantage.misses";
-    "engine.cache_hits"; "engine.cache_misses" ]
+    "engine.cache_hits"; "engine.cache_misses"; "engine.pool_tasks";
+    "gc.major_words"; "gc.promoted_words" ]
 
 (* Seconds-valued resource budgets: gated one-sided on their sum, like
    Budget counters, but with slack for scheduler noise. Checked before

@@ -63,21 +63,6 @@ let with_span ?(cat = "app") ?(args = []) name f =
       f
   end
 
-let instant ?(cat = "app") ?(args = []) name =
-  if Atomic.get tracing then begin
-    let stack = Domain.DLS.get stack_key in
-    let parent = match stack with [] -> "" | p :: _ -> p in
-    record
-      { name;
-        cat;
-        ts = Unix.gettimeofday () -. Atomic.get epoch;
-        dur = 0.;
-        tid = tid ();
-        parent;
-        args;
-      }
-  end
-
 let context () = Domain.DLS.get stack_key
 
 let with_context ctx f =

@@ -44,9 +44,6 @@ val with_span :
     [gc.alloc_bytes], …); note that a parent span's delta includes its
     children's. *)
 
-val instant : ?cat:string -> ?args:(string * Json.t) list -> string -> unit
-(** Record a zero-duration marker event at the current time. *)
-
 val context : unit -> string list
 (** This domain's current span stack, innermost first. *)
 

@@ -187,19 +187,6 @@ let test_flat_computes_once () =
     (Telemetry.Metrics.value (counter "hits") - h0);
   Alcotest.(check int) "length" 1 (Engine.Memo.length t)
 
-let test_flat_disabled_recomputes () =
-  let t = Engine.Memo.create () in
-  let calls, compute = counted "7" in
-  Engine.Memo.with_enabled false (fun () ->
-      ignore (find_or_add t "k" compute);
-      ignore (find_or_add t "k" compute);
-      Engine.Memo.put t "k" "8";
-      Alcotest.(check (option string)) "find_opt" None
-        (Engine.Memo.find_opt t "k"));
-  Alcotest.(check int) "computed twice when disabled" 2 !calls;
-  Alcotest.(check int) "nothing stored" 0 (Engine.Memo.length t);
-  Alcotest.(check bool) "switch restored" true (Engine.Memo.enabled ())
-
 let test_flat_exception_stores_nothing () =
   let t = Engine.Memo.create () in
   (match find_or_add t "k" (fun () -> failwith "boom") with
@@ -439,27 +426,36 @@ let test_fig4_identical_across_domains () =
   Alcotest.(check string) "fig4 txt domains 1 vs 4" txt1 txt4;
   Alcotest.(check string) "fig4 csv domains 1 vs 4" csv1 csv4
 
-let test_cache_on_off_agree () =
-  let points enabled =
-    Engine.Memo.with_enabled enabled (fun () ->
-        series_points (Bidir.Figures.fig3 ~samples:9 ()))
-  in
-  let on = points true and off = points false in
-  Alcotest.(check int) "length" (List.length on) (List.length off);
-  List.iter2
-    (fun (x1, y1) (x2, y2) ->
-      Alcotest.(check (float 1e-12)) "x" x1 x2;
-      Alcotest.(check (float 1e-12)) "y" y1 y2)
-    on off
+(* The summed [memo.<table>.<kind>] counters of every named table. *)
+let memo_total kind =
+  List.fold_left
+    (fun acc (name, v) ->
+      if String.starts_with ~prefix:"memo." name
+         && String.ends_with ~suffix:("." ^ kind) name
+      then acc + v
+      else acc)
+    0
+    (Telemetry.Metrics.counters ())
+
+(* A warm pass answers every LP from the memo with the cold pass's
+   exact words, so the two agree bit for bit. *)
+let test_cold_warm_agree () =
+  Engine.Memo.clear_all ();
+  let cold = series_points (Bidir.Figures.fig3 ~samples:9 ()) in
+  let h0 = memo_total "hits" and m0 = memo_total "misses" in
+  let warm = series_points (Bidir.Figures.fig3 ~samples:9 ()) in
+  Alcotest.(check int) "warm pass misses nothing" 0 (memo_total "misses" - m0);
+  Alcotest.(check bool) "warm pass hits" true (memo_total "hits" - h0 > 0);
+  check_same_points "cold vs warm" cold warm
 
 let test_crossover_hits_cache () =
   Engine.Memo.clear_all ();
-  Engine.Stats.reset ();
+  let hits = Telemetry.Metrics.counter "memo.optimize.sum_rate.hits" in
+  let h0 = Telemetry.Metrics.value hits in
   ignore (Bidir.Figures.crossover_table () : Bidir.Figures.table);
-  let s = Engine.Stats.snapshot () in
   Alcotest.(check bool)
     "nonzero hit rate" true
-    (s.Engine.Stats.cache_hits > 0)
+    (Telemetry.Metrics.value hits - h0 > 0)
 
 let suites =
   [ ( "engine.pool",
@@ -480,8 +476,6 @@ let suites =
     ( "engine.flat_memo",
       [ Alcotest.test_case "computes once, then hits" `Quick
           test_flat_computes_once;
-        Alcotest.test_case "disabled recomputes" `Quick
-          test_flat_disabled_recomputes;
         Alcotest.test_case "exception stores nothing" `Quick
           test_flat_exception_stores_nothing;
         Alcotest.test_case "clear and clear_all" `Quick test_flat_clear;
@@ -496,7 +490,7 @@ let suites =
     ( "engine.determinism",
       [ Alcotest.test_case "fig3 identical across domains" `Quick test_fig3_identical_across_domains;
         Alcotest.test_case "fig4 identical across domains" `Quick test_fig4_identical_across_domains;
-        Alcotest.test_case "cache on/off agree" `Quick test_cache_on_off_agree;
+        Alcotest.test_case "cold and warm agree" `Quick test_cold_warm_agree;
         Alcotest.test_case "crossover_table hits cache" `Quick test_crossover_hits_cache;
       ] );
   ]

